@@ -1,27 +1,16 @@
-//! The persistent campaign executor: boot once, fork (or journal) per
-//! trial.
+//! The persistent campaign executor: boot once, journal per trial.
 //!
 //! [`crate::recording`]'s scoped path builds a fresh kernel per trial —
 //! boot plus vulnerability-map compile dominate each trial's cost. A
 //! service facing sustained campaign traffic amortizes that: every worker
 //! thread keeps per-tenant [`KernelPool`]s of booted *parent* kernels
-//! (keyed by the full machine configuration, seed included) and serves
-//! each trial from a [`cta_vm::Kernel::fork`] — O(changed rows) on the
-//! CoW backend. Campaigns are submitted as indexed trial batches to a
+//! (keyed by the full machine configuration, seed included) and runs each
+//! trial **in place** on its parent under [`KernelPool::run_journaled`]'s
+//! undo journal, rolling the parent back afterwards. Campaigns are
+//! submitted as indexed trial batches to a
 //! [`cta_parallel::executor::Executor`]: one worker's deque per campaign
 //! (locality with that worker's warm parents), work stealing when the
 //! queue saturates.
-//!
-//! **Trial isolation.** [`TrialIsolation`] selects how a trial is kept
-//! from perturbing its pooled parent: [`TrialIsolation::Fork`] (the
-//! default) copies the parent per trial, while
-//! [`TrialIsolation::Journal`] runs the trial **in place** on the parent
-//! under [`KernelPool::run_journaled`]'s undo journal and rolls it back —
-//! O(touched state) instead of O(parent). Rollback is byte-identical to a
-//! fresh fork (pinned by the isolation differential suites), so the two
-//! modes produce byte-identical campaign output and share the same pooled
-//! parents ([`TrialIsolation`] is deliberately absent from the parent
-//! key).
 //!
 //! **Cancellation.** [`CampaignExecutor::cancel`] drops a submitted
 //! campaign's still-queued trials from the worker deques; in-flight
@@ -36,10 +25,10 @@
 //! [`RecordingSpec`] and [`ReplayTarget`], regardless of worker count,
 //! submission order, or steal interleaving:
 //!
-//! * each trial runs [`crate::recording`]'s shared trial body on a fork
-//!   of a parent booted from the trial's own spec + seed (fork of a
-//!   fresh boot ≡ fresh boot, pinned by the backend differential
-//!   suites);
+//! * each trial runs [`crate::recording`]'s shared trial body on a parent
+//!   booted from the trial's own spec + seed, and rollback restores that
+//!   parent byte-identically (pinned by the isolation differential
+//!   suite), so every trial meets the machine a fresh boot would give;
 //! * results carry their batch index, and the merge — identical to the
 //!   scoped path's — folds shards in seed order on whichever worker
 //!   completes the campaign;
@@ -109,47 +98,6 @@ pub struct TenantLimits {
     pub model_cache_bytes: Option<usize>,
 }
 
-/// How a trial is isolated from the pooled parent kernel that serves it.
-///
-/// Both modes produce byte-identical campaign output (transcripts, merged
-/// counters, contents hashes) — journal rollback restores the parent
-/// byte-identically to what a fork would have left — so isolation is an
-/// implementation knob, never part of the parent key or the result.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum TrialIsolation {
-    /// Fork the parent per trial: O(materialized rows) per trial on the
-    /// CoW backend, O(parent) on dense backends.
-    #[default]
-    Fork,
-    /// Run the trial in place on the parent under an undo journal and
-    /// roll back: O(touched state) per trial on every backend.
-    Journal,
-}
-
-impl TrialIsolation {
-    /// Canonical lowercase name (`fork` / `journal`), as accepted by
-    /// [`FromStr`](std::str::FromStr) and the `cta --isolation` flag.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            TrialIsolation::Fork => "fork",
-            TrialIsolation::Journal => "journal",
-        }
-    }
-}
-
-impl std::str::FromStr for TrialIsolation {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "fork" => Ok(TrialIsolation::Fork),
-            "journal" => Ok(TrialIsolation::Journal),
-            other => Err(format!("unknown isolation `{other}` (expected fork or journal)")),
-        }
-    }
-}
-
 /// One campaign submission: whose it is, what to run, and how.
 #[derive(Debug, Clone)]
 pub struct CampaignRequest {
@@ -163,8 +111,6 @@ pub struct CampaignRequest {
     pub spec: RecordingSpec,
     /// Implementation target (backend / flip engine / defense).
     pub target: ReplayTarget,
-    /// How each trial is isolated from its pooled parent.
-    pub isolation: TrialIsolation,
 }
 
 impl CampaignRequest {
@@ -175,7 +121,6 @@ impl CampaignRequest {
             label: EXECUTOR_LABEL.to_string(),
             spec,
             target: ReplayTarget::default(),
-            isolation: TrialIsolation::default(),
         }
     }
 }
@@ -222,11 +167,9 @@ pub struct ServiceStats {
     pub steals: u64,
     /// Parent kernels booted (pool misses).
     pub parent_boots: u64,
-    /// Trials served by forking an already-resident parent.
-    pub fork_hits: u64,
-    /// Trials served in place under an undo journal
-    /// ([`TrialIsolation::Journal`]).
-    pub journal_runs: u64,
+    /// Trials served by an already-resident parent. Every trial is
+    /// served by exactly one boot or one pool hit.
+    pub pool_hits: u64,
     /// Parents evicted to respect pool capacities.
     pub evictions: u64,
     /// Parents currently resident across all workers and tenants.
@@ -242,7 +185,6 @@ struct CampaignCtx {
     label: String,
     spec: RecordingSpec,
     target: ReplayTarget,
-    isolation: TrialIsolation,
     submitted: Instant,
 }
 
@@ -280,8 +222,7 @@ struct ExecState {
     pool_parents: Vec<AtomicU64>,
     pool_bytes: Vec<AtomicU64>,
     boots: Vec<AtomicU64>,
-    fork_hits: Vec<AtomicU64>,
-    journal_runs: Vec<AtomicU64>,
+    pool_hits: Vec<AtomicU64>,
     evictions: Vec<AtomicU64>,
 }
 
@@ -320,18 +261,9 @@ impl WorkerCtx {
             }
             Ok(parent)
         };
-        // Both arms run the same trial body on what is observably the
-        // same kernel — rollback restores the parent byte-identically, so
-        // which arm served a trial is invisible in its output.
-        let trial = match ctx.isolation {
-            TrialIsolation::Fork => {
-                let mut kernel = pool.fork_for(&key, boot).map_err(RecordingError::Vm)?;
-                run_trial_on(&mut kernel, spec, seed)
-            }
-            TrialIsolation::Journal => pool
-                .run_journaled(&key, boot, |kernel| run_trial_on(kernel, spec, seed))
-                .map_err(RecordingError::Vm)?,
-        };
+        let trial = pool
+            .run_journaled(&key, boot, |kernel| run_trial_on(kernel, spec, seed))
+            .map_err(RecordingError::Vm)?;
         let result = trial.map(|(record, shard, log)| {
             Some(ExecutedTrial {
                 record,
@@ -349,32 +281,29 @@ impl WorkerCtx {
         let mut bytes = 0u64;
         let mut boots = 0u64;
         let mut hits = 0u64;
-        let mut journal_runs = 0u64;
         let mut evictions = 0u64;
         for pool in self.pools.values() {
             parents += pool.len() as u64;
             bytes += pool.model_cache_bytes();
             let stats = pool.stats();
             boots += stats.boots;
-            hits += stats.fork_hits;
-            journal_runs += stats.journal_runs;
+            hits += stats.pool_hits;
             evictions += stats.evictions;
         }
         let w = self.worker;
         self.state.pool_parents[w].store(parents, Ordering::Relaxed);
         self.state.pool_bytes[w].store(bytes, Ordering::Relaxed);
         self.state.boots[w].store(boots, Ordering::Relaxed);
-        self.state.fork_hits[w].store(hits, Ordering::Relaxed);
-        self.state.journal_runs[w].store(journal_runs, Ordering::Relaxed);
+        self.state.pool_hits[w].store(hits, Ordering::Relaxed);
         self.state.evictions[w].store(evictions, Ordering::Relaxed);
     }
 }
 
 /// Everything a parent kernel's boot depends on, canonically encoded.
 /// Attack parameters and `flip_log_capacity` are deliberately absent —
-/// they act on the *fork* — so campaigns with different attacks share
-/// parents booted for the same machine. Float parameters are encoded by
-/// bit pattern (exact, locale-free).
+/// they act on the trial, not the boot — so campaigns with different
+/// attacks share parents booted for the same machine. Float parameters
+/// are encoded by bit pattern (exact, locale-free).
 fn parent_key(
     spec: &RecordingSpec,
     target: ReplayTarget,
@@ -442,7 +371,7 @@ impl CampaignTicket {
     }
 }
 
-/// The persistent boot-once, fork-per-request campaign service. See the
+/// The persistent boot-once, journal-per-trial campaign service. See the
 /// module docs for the determinism contract.
 pub struct CampaignExecutor {
     exec: Executor<TrialJob, TrialOut>,
@@ -466,8 +395,7 @@ impl CampaignExecutor {
             pool_parents: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             pool_bytes: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             boots: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            fork_hits: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            journal_runs: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            pool_hits: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             evictions: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         });
         let init_state = Arc::clone(&state);
@@ -516,7 +444,6 @@ impl CampaignExecutor {
             label: request.label,
             spec: request.spec,
             target: request.target,
-            isolation: request.isolation,
             submitted: Instant::now(),
         });
         let jobs: Vec<TrialJob> = (0..ctx.spec.seeds.len())
@@ -598,29 +525,11 @@ impl CampaignExecutor {
         recording: &Recording,
         target: ReplayTarget,
     ) -> Result<ReplayReport, RecordingError> {
-        self.replay_isolated(recording, target, TrialIsolation::Fork)
-    }
-
-    /// [`Self::replay`] under an explicit [`TrialIsolation`] — the gate
-    /// that proves journaled in-place trials reproduce the recorded
-    /// artifact byte-identically, exactly as forked trials do.
-    ///
-    /// # Errors
-    ///
-    /// [`RecordingError::Mismatch`] on the first divergence, plus
-    /// everything the scoped replay can raise.
-    pub fn replay_isolated(
-        &self,
-        recording: &Recording,
-        target: ReplayTarget,
-        isolation: TrialIsolation,
-    ) -> Result<ReplayReport, RecordingError> {
         let request = CampaignRequest {
             tenant: "replay".to_string(),
             label: crate::recording::RECORDING_LABEL.to_string(),
             spec: recording.spec.clone(),
             target,
-            isolation,
         };
         let output = self.run(request)?;
         compare_with_recording(recording, &output.trials, &output.counters, target)
@@ -638,8 +547,7 @@ impl CampaignExecutor {
             trials_completed: exec.completed,
             steals: exec.stolen,
             parent_boots: sum(&self.state.boots),
-            fork_hits: sum(&self.state.fork_hits),
-            journal_runs: sum(&self.state.journal_runs),
+            pool_hits: sum(&self.state.pool_hits),
             evictions: sum(&self.state.evictions),
             pool_parents: sum(&self.state.pool_parents),
             pool_model_cache_bytes: sum(&self.state.pool_bytes),
@@ -656,8 +564,7 @@ impl CampaignExecutor {
         counters.set_u64("executor", "trials_completed", s.trials_completed);
         counters.set_u64("executor", "steals", s.steals);
         counters.set_u64("executor", "parent_boots", s.parent_boots);
-        counters.set_u64("executor", "fork_hits", s.fork_hits);
-        counters.set_u64("executor", "journal_runs", s.journal_runs);
+        counters.set_u64("executor", "pool_hits", s.pool_hits);
         counters.set_u64("executor", "evictions", s.evictions);
         counters.set_u64("executor", "pool_parents", s.pool_parents);
         counters.set_u64("executor", "pool_model_cache_bytes", s.pool_model_cache_bytes);

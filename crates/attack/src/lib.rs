@@ -24,9 +24,10 @@
 //! kernel per trial, optionally in parallel with deterministic,
 //! seed-ordered results (see `cta_parallel`). [`executor`] is the
 //! long-running service form of the same contract: parent kernels are
-//! booted once per (machine, seed, tenant) and every trial runs on a
-//! copy-on-write fork, with campaigns fanned out across a work-stealing
-//! worker pool and merged byte-identically to the serial path.
+//! booted once per (machine, seed, tenant) and every trial runs in place
+//! on its parent under an undo journal that is rolled back afterwards,
+//! with campaigns fanned out across a work-stealing worker pool and
+//! merged byte-identically to the serial path.
 //!
 //! Every attack returns an [`outcome::AttackOutcome`] scoring success by
 //! *observed behavior* (kernel secret leaked / overwritten), cross-checked
@@ -53,7 +54,7 @@ pub use campaign::{
 pub use catalog::{catalog, KnownAttack, Platform, VictimData};
 pub use executor::{
     CampaignExecutor, CampaignOutput, CampaignRequest, CampaignTicket, ExecutorConfig,
-    ServiceStats, TenantLimits, TrialIsolation,
+    ServiceStats, TenantLimits,
 };
 pub use hammer::HammerDriver;
 pub use outcome::{AttackOutcome, AttackTimeModel};

@@ -150,7 +150,7 @@ impl RecordingSpec {
 
     /// The builder for one trial's kernel under implementation `target` —
     /// the machine every trial of this spec boots (and the machine the
-    /// persistent executor boots once per tenant/config and forks per
+    /// persistent executor boots once per tenant/config and journals per
     /// trial).
     pub fn builder(&self, seed: u64, target: ReplayTarget) -> SystemBuilder {
         SystemBuilder::new(self.memory_bytes)
@@ -458,9 +458,10 @@ fn run_trial(
 }
 
 /// The trial body shared by the scoped path above and the persistent
-/// executor (which supplies a kernel *forked* from a pooled parent —
-/// bit-identical to a fresh boot, which is what makes the executor's
-/// output byte-identical to this path by construction).
+/// executor (which runs it in place on a pooled parent under an undo
+/// journal — the parent is bit-identical to a fresh boot at every trial
+/// start, which is what makes the executor's output byte-identical to
+/// this path by construction).
 pub(crate) fn run_trial_on(
     kernel: &mut Kernel,
     spec: &RecordingSpec,

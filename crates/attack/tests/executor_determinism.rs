@@ -3,9 +3,9 @@
 //! The [`CampaignExecutor`] promises that scheduling is invisible in the
 //! output: trial transcripts, merged counters, and campaign summaries are
 //! byte-identical to the scoped serial path regardless of worker count,
-//! submission order, steal interleaving, or pool state (a fork of a
-//! fresh boot is indistinguishable from a fresh boot). These tests pin
-//! that promise differentially — scoped path vs executor, executor vs
+//! submission order, steal interleaving, or pool state (a parent rolled
+//! back after a trial is indistinguishable from a fresh boot). These tests
+//! pin that promise differentially — scoped path vs executor, executor vs
 //! executor under permuted schedules — and soak the parent pool to show
 //! its footprint stays bounded by its configured capacity, not by the
 //! number of campaigns served.
@@ -158,9 +158,9 @@ fn parent_pool_stays_bounded_over_a_long_campaign_stream() {
     assert_eq!(stats.campaigns, (TENANTS * ROUNDS) as u64);
     assert_eq!(stats.trials_completed, stats.trials_submitted);
     assert_eq!(
-        stats.parent_boots + stats.fork_hits,
+        stats.parent_boots + stats.pool_hits,
         stats.trials_completed,
-        "every trial is served by exactly one boot-or-fork"
+        "every trial is served by exactly one boot or pool hit"
     );
     // The bound the soak exists to prove: each worker keeps one pool per
     // tenant, capped at that tenant's `max_parents_per_worker` (the

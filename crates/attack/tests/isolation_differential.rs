@@ -1,22 +1,23 @@
 //! Trial-isolation differential suite: journaled in-place trials must be
-//! observably identical to forked trials.
+//! observably identical to the scoped serial path.
 //!
-//! [`TrialIsolation::Journal`] runs each trial directly on the pooled
-//! parent kernel under an undo journal and rolls it back, instead of
-//! forking the parent per trial. The executor's determinism contract says
-//! the choice is invisible: transcripts, merged counters, summaries, and
-//! contents hashes must be byte-identical to the fork path (and hence to
-//! the scoped serial path) on every backend × flip-engine combination.
-//! These tests pin that, plus the cancellation path and the
-//! tenant-limits gauge parity the journal must preserve.
+//! The executor runs each trial directly on a pooled parent kernel under
+//! an undo journal and rolls it back. Its determinism contract says this
+//! is invisible: transcripts, merged counters, summaries and contents
+//! hashes must be byte-identical to [`record_campaign`], which boots a
+//! fresh machine per trial, on every backend × flip-engine combination.
+//! These tests pin that with the scoped path as the oracle, plus the
+//! cancellation path and the tenant-limits gauge a rollback must leave
+//! untouched.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use cta_attack::recording::RECORDING_LABEL;
 use cta_attack::{
-    record_campaign, CampaignExecutor, CampaignRequest, ExecutorConfig, RecordedAttack,
-    RecordingSpec, ReplayTarget, SprayAttack, TemplatingAttack, TenantLimits, TrialIsolation,
+    record_campaign, CampaignExecutor, CampaignRequest, CampaignSummary, ExecutorConfig,
+    RecordedAttack, Recording, RecordingSpec, ReplayTarget, SprayAttack, TemplatingAttack,
+    TenantLimits,
 };
 use cta_telemetry::json;
 use cta_telemetry::schema::validate_executor_event;
@@ -33,10 +34,9 @@ fn small_spec(seeds: Vec<u64>) -> RecordingSpec {
     spec
 }
 
-fn request(tenant: &str, spec: RecordingSpec, isolation: TrialIsolation) -> CampaignRequest {
+fn request(tenant: &str, spec: RecordingSpec) -> CampaignRequest {
     let mut request = CampaignRequest::new(tenant, spec);
     request.label = RECORDING_LABEL.to_string();
-    request.isolation = isolation;
     request
 }
 
@@ -66,97 +66,86 @@ impl Write for SharedSink {
     }
 }
 
-#[test]
-fn journal_matches_fork_on_every_backend_and_flip_engine() {
-    // Two trials per seed value so the journal path serves repeat trials
-    // from a rolled-back parent (the case a leaky rollback would corrupt).
-    let spec = small_spec(vec![0, 1, 0, 1]);
-    for target in ReplayTarget::all() {
-        let run = |isolation: TrialIsolation| {
-            let exec = CampaignExecutor::new(ExecutorConfig { workers: 2, parents_per_worker: 2 });
-            let mut req = request("tenant", spec.clone(), isolation);
-            req.target = target;
-            let output = exec.run(req).expect("campaign completes");
-            (output, exec.stats())
-        };
-        let (forked, fork_stats) = run(TrialIsolation::Fork);
-        let (journaled, journal_stats) = run(TrialIsolation::Journal);
+/// Runs `golden`'s spec through a fresh executor under `target` and
+/// asserts the output equals the scoped recording: transcripts (flips,
+/// contents hashes, clocks, outcomes), summary and merged telemetry.
+/// Returns the pool hits: trials served by a parent that already ran one.
+fn assert_matches_scoped(golden: &Recording, target: ReplayTarget, workers: usize) -> u64 {
+    let exec = CampaignExecutor::new(ExecutorConfig { workers, parents_per_worker: 2 });
+    let mut req = request("tenant", golden.spec.clone());
+    req.target = target;
+    let output = exec.run(req).expect("campaign completes");
+    let what = format!("{target} at {workers} workers");
+    for (got, want) in output.trials.iter().zip(&golden.trials) {
+        assert_eq!(
+            got.contents_hash, want.contents_hash,
+            "{what}: final module contents diverged at seed {}",
+            want.seed
+        );
+    }
+    assert_eq!(output.trials, golden.trials, "{what}: trial transcripts diverged");
+    let summary = CampaignSummary::from_outcomes(golden.trials.iter().map(|t| &t.outcome));
+    assert_eq!(output.summary, summary, "{what}: summaries diverged");
+    let merged = json::parse(&output.counters.to_json()).expect("merged telemetry parses");
+    assert_eq!(merged, golden.telemetry, "{what}: merged telemetry diverged");
+    let stats = exec.stats();
+    assert_eq!(stats.parent_boots + stats.pool_hits, golden.trials.len() as u64);
+    stats.pool_hits
+}
 
-        assert_eq!(journaled.trials, forked.trials, "{target}: trial transcripts diverged");
-        assert_eq!(journaled.summary, forked.summary, "{target}: summaries diverged");
-        assert_eq!(
-            journaled.counters.to_json(),
-            forked.counters.to_json(),
-            "{target}: merged telemetry diverged"
-        );
-        for (j, f) in journaled.trials.iter().zip(&forked.trials) {
-            assert_eq!(
-                j.contents_hash, f.contents_hash,
-                "{target}: final module contents diverged at seed {}",
-                j.seed
-            );
-        }
-        // Both executors really took their own path.
-        assert_eq!(fork_stats.journal_runs, 0);
-        assert_eq!(
-            journal_stats.journal_runs, journal_stats.trials_completed,
-            "{target}: every journaled trial runs in place"
-        );
+#[test]
+fn journaled_trials_match_the_scoped_path_on_every_backend_and_flip_engine() {
+    // Two trials per seed value so repeat trials are served from a
+    // rolled-back parent (the case a leaky rollback would corrupt).
+    let golden = record_campaign(&small_spec(vec![0, 1, 0, 1])).expect("scoped path records");
+    for target in ReplayTarget::all() {
+        // One worker serves every trial from its own pool: both repeats
+        // must be pool hits on a parent that already ran a trial.
+        assert_eq!(assert_matches_scoped(&golden, target, 1), 2, "{target}: rollback reuse");
+        assert_matches_scoped(&golden, target, 2);
     }
 }
 
 #[test]
-fn journal_matches_fork_for_the_templating_attack() {
+fn journaled_trials_match_the_scoped_path_for_the_templating_attack() {
     // A second attack shape: templating leans on flip-log drains and
     // profiling, the states whose journaling is easiest to get wrong.
     let attack = TemplatingAttack { arena_pages: 48, max_attempts: 2, flush_per_probe: false };
-    let mut spec = RecordingSpec::new(RecordedAttack::Templating(attack), vec![3, 4]);
+    let mut spec = RecordingSpec::new(RecordedAttack::Templating(attack), vec![3, 4, 3]);
     spec.memory_bytes = 2 << 20;
     spec.ptp_bytes = 256 << 10;
     spec.profile_cells = true;
-
-    let run = |isolation: TrialIsolation| {
-        let exec = CampaignExecutor::new(ExecutorConfig { workers: 1, parents_per_worker: 2 });
-        exec.run(request("tenant", spec.clone(), isolation)).expect("campaign completes")
-    };
-    let forked = run(TrialIsolation::Fork);
-    let journaled = run(TrialIsolation::Journal);
-    assert_eq!(journaled.trials, forked.trials);
-    assert_eq!(journaled.counters.to_json(), forked.counters.to_json());
+    let golden = record_campaign(&spec).expect("scoped path records");
+    assert_eq!(assert_matches_scoped(&golden, ReplayTarget::default(), 1), 1);
 }
 
 #[test]
-fn journal_replay_reproduces_the_scoped_recording() {
-    let recording = record_campaign(&small_spec(vec![5, 6])).expect("scoped path records");
-    for workers in [1, 3] {
-        let exec = CampaignExecutor::new(ExecutorConfig { workers, parents_per_worker: 2 });
-        let report = exec
-            .replay_isolated(&recording, ReplayTarget::default(), TrialIsolation::Journal)
-            .expect("journaled replay is byte-identical");
-        assert_eq!(report.trials, 2);
-    }
-}
-
-#[test]
-fn tenant_limit_gauges_are_identical_across_isolation_modes() {
+fn tenant_limit_gauge_matches_freshly_booted_parents() {
     // The model-cache byte budget attaches to parents at boot; rollback
-    // restores parents byte-identically, so the published gauge must not
-    // depend on how trials were isolated.
+    // restores parents byte-identically, so after a campaign the published
+    // gauge must equal that of parents that never ran a trial.
     let spec = small_spec(vec![7, 8]);
-    let gauge = |isolation: TrialIsolation| {
-        let exec = CampaignExecutor::new(ExecutorConfig { workers: 1, parents_per_worker: 2 });
-        exec.set_tenant_limits(
-            "tenant",
-            TenantLimits { max_parents_per_worker: Some(2), model_cache_bytes: Some(1 << 20) },
-        );
-        let output = exec.run(request("tenant", spec.clone(), isolation)).expect("completes");
-        assert_eq!(output.summary.trials, 2);
-        exec.stats().pool_model_cache_bytes
-    };
-    let forked = gauge(TrialIsolation::Fork);
-    let journaled = gauge(TrialIsolation::Journal);
-    assert!(forked > 0, "resident parents publish their footprint");
-    assert_eq!(journaled, forked, "isolation mode leaked into the pool gauge");
+    let budget = Some(1 << 20);
+    let exec = CampaignExecutor::new(ExecutorConfig { workers: 1, parents_per_worker: 2 });
+    exec.set_tenant_limits(
+        "tenant",
+        TenantLimits { max_parents_per_worker: Some(2), model_cache_bytes: budget },
+    );
+    let output = exec.run(request("tenant", spec.clone())).expect("completes");
+    assert_eq!(output.summary.trials, 2);
+
+    let fresh: u64 = spec
+        .seeds
+        .iter()
+        .map(|&seed| {
+            let mut parent = spec.builder(seed, ReplayTarget::default()).build().expect("boots");
+            parent.dram_mut().set_model_cache_bytes(budget);
+            parent.dram().model_cache_bytes() as u64
+        })
+        .sum();
+    let gauge = exec.stats().pool_model_cache_bytes;
+    assert!(gauge > 0, "resident parents publish their footprint");
+    assert_eq!(gauge, fresh, "a trial leaked into the pool gauge");
 }
 
 #[test]
@@ -167,13 +156,9 @@ fn cancel_drops_queued_trials_and_emits_a_cancelled_event() {
     let sink = SharedSink::default();
     exec.set_jsonl_sink(sink.clone());
 
-    let first = exec.submit(request("tenant", small_spec(vec![0, 1, 2, 3]), TrialIsolation::Fork));
+    let first = exec.submit(request("tenant", small_spec(vec![0, 1, 2, 3])));
     let doomed_seeds = 6u64;
-    let doomed = exec.submit(request(
-        "tenant",
-        small_spec((10..10 + doomed_seeds).collect()),
-        TrialIsolation::Fork,
-    ));
+    let doomed = exec.submit(request("tenant", small_spec((10..10 + doomed_seeds).collect())));
     let (first, doomed) = (first.expect("submits"), doomed.expect("submits"));
 
     let dropped = exec.cancel(doomed.id());

@@ -26,7 +26,6 @@ use cta_analysis::{
 use cta_attack::{
     record_campaign, run_campaign, run_forked_campaign, CampaignExecutor, CampaignRequest,
     ExecutorConfig, RecordedAttack, RecordingSpec, ReplayTarget, SprayAttack, TenantLimits,
-    TrialIsolation,
 };
 use cta_bench::{emit_telemetry, header, kv};
 use cta_core::SystemBuilder;
@@ -641,98 +640,85 @@ fn bench_service(quick: bool, metrics: &mut Vec<(String, f64)>, tel: &mut Counte
     metrics.push(("service_p50_trial_latency_ms".into(), pct(50)));
     metrics.push(("service_p99_trial_latency_ms".into(), pct(99)));
     metrics.push(("service_parent_boots".into(), stats.parent_boots as f64));
-    metrics.push(("service_fork_hits".into(), stats.fork_hits as f64));
+    metrics.push(("service_pool_hits".into(), stats.pool_hits as f64));
     metrics.push(("service_steals".into(), stats.steals as f64));
     kv("service events", events_path.display());
 }
 
-/// Journaled in-place rollback vs fork-per-trial (the `rollback` baseline
-/// label's `rollback_*`/`fork_*` metrics). The same campaign queue is
-/// drained twice by fresh persistent executors — once under
-/// [`TrialIsolation::Fork`], once under [`TrialIsolation::Journal`] — and
-/// every output pair is asserted byte-identical (trial transcripts and
-/// merged telemetry) before either rate is recorded, so the speedup pins
-/// a difference between provably equivalent computations.
+/// Journaled in-place trial throughput (the `rollback` baseline label's
+/// `rollback_*` metrics). A persistent executor drains a campaign queue
+/// whose every trial uses one seed, and every output is asserted
+/// byte-identical to the scoped path (a one-trial [`record_campaign`] of
+/// that seed) before the rate is recorded, so the rate pins a provably
+/// correct computation.
 ///
 /// The campaign shape is boot-heavy with a small per-trial working set,
 /// deliberately: on the sparse backend, boot-time cell profiling
-/// materializes every row, so each fork deep-copies the whole module —
-/// O(materialized rows) per trial — while the narrow spray trial dirties
-/// only a handful of rows that the journal captures lazily, making
-/// rollback O(touched state). `rollback_speedup_vs_fork` records how much
-/// of the fork tax the journal returns on that shape.
+/// materializes every row, so a fork would deep-copy the whole module,
+/// while the narrow spray trial dirties only a handful of rows that the
+/// journal captures lazily. Fork-per-trial throughput stays recorded by
+/// the `campaign_fork_*` metrics.
 fn bench_rollback(quick: bool, metrics: &mut Vec<(String, f64)>) {
     let trials = if quick { 12 } else { 24 };
     let campaigns = if quick { 2 } else { 3 };
     let attack =
         SprayAttack { regions: 4, file_pages: 2, max_hammer_rows: 2, flush_per_probe: false };
-    let spec = || {
-        // Constant seed: the pool boots one parent per worker and serves
-        // every trial from it, so the measured difference is pure
-        // isolation cost (fork+drop vs journal+rollback), not boot.
-        let mut spec = RecordingSpec::new(RecordedAttack::Spray(attack), vec![11; trials]);
+    let spec = |seeds: Vec<u64>| {
+        let mut spec = RecordingSpec::new(RecordedAttack::Spray(attack), seeds);
         spec.memory_bytes = 16 << 20;
-        // Narrow 256-byte rows: 64k materialized rows, so the per-row
-        // allocation overhead the fork pays (one boxed row copy each) is
-        // fully represented, while the journal's cost still tracks only
-        // the rows a trial dirties.
+        // Narrow 256-byte rows: 64k materialized rows, so whole-module
+        // costs are fully represented, while the journal's cost still
+        // tracks only the rows a trial dirties.
         spec.row_bytes = 256;
         spec.protected = true;
         spec.profile_cells = true;
         spec.flip_log_capacity = 1 << 16;
         spec
     };
+    // Constant seed: the pool boots one parent and serves every trial
+    // from it, so the measured cost is the trial plus its rollback, not
+    // boot.
+    const SEED: u64 = 11;
     let target = ReplayTarget { backend: StoreBackend::Sparse, ..ReplayTarget::default() };
 
-    let run = |isolation: TrialIsolation| {
-        // One worker: the isolation comparison wants a serial drain where
-        // per-trial isolation cost is the only variable (bench_service
-        // already pins the multi-worker schedule), and it keeps the two
-        // modes' memory-bandwidth contention identical on small hosts.
-        let exec = CampaignExecutor::new(ExecutorConfig { workers: 1, parents_per_worker: 2 });
-        let start = Instant::now();
-        let tickets: Vec<_> = (0..campaigns)
-            .map(|_| {
-                let mut request = CampaignRequest::new("bench", spec());
-                request.target = target;
-                request.isolation = isolation;
-                exec.submit(request).expect("campaign submits")
-            })
-            .collect();
-        let outputs: Vec<_> =
-            tickets.into_iter().map(|t| t.wait().expect("campaign completes")).collect();
-        let rate = (campaigns * trials) as f64 / start.elapsed().as_secs_f64();
-        (rate, outputs, exec.stats())
-    };
-    let (fork_rate, forked, fork_stats) = run(TrialIsolation::Fork);
-    let (journal_rate, journaled, journal_stats) = run(TrialIsolation::Journal);
+    // One worker: a serial drain where per-trial cost is the only
+    // variable (bench_service already pins the multi-worker schedule).
+    let exec = CampaignExecutor::new(ExecutorConfig { workers: 1, parents_per_worker: 2 });
+    let start = Instant::now();
+    let tickets: Vec<_> = (0..campaigns)
+        .map(|_| {
+            let mut request = CampaignRequest::new("bench", spec(vec![SEED; trials]));
+            request.target = target;
+            exec.submit(request).expect("campaign submits")
+        })
+        .collect();
+    let outputs: Vec<_> =
+        tickets.into_iter().map(|t| t.wait().expect("campaign completes")).collect();
+    let rate = (campaigns * trials) as f64 / start.elapsed().as_secs_f64();
 
-    assert_eq!(journal_stats.journal_runs, journal_stats.trials_completed);
-    assert_eq!(fork_stats.journal_runs, 0);
-    for (j, f) in journaled.iter().zip(&forked) {
-        assert_eq!(j.trials, f.trials, "journaled transcripts must equal forked");
+    let oracle = record_campaign(&spec(vec![SEED])).expect("scoped path records");
+    for output in &outputs {
+        for record in &output.trials {
+            assert_eq!(record, &oracle.trials[0], "journaled trial must equal the scoped path");
+        }
         assert_eq!(
-            j.counters.to_json(),
-            f.counters.to_json(),
-            "journaled merged telemetry must equal forked"
+            output.counters.to_json(),
+            outputs[0].counters.to_json(),
+            "merged telemetry must be equal across identical campaigns"
         );
     }
 
-    let pct = |outputs: &[cta_attack::CampaignOutput], p: usize| {
-        let mut ns: Vec<u64> =
-            outputs.iter().flat_map(|o| o.trial_latencies_ns.iter().copied()).collect();
-        ns.sort_unstable();
+    let mut ns: Vec<u64> =
+        outputs.iter().flat_map(|o| o.trial_latencies_ns.iter().copied()).collect();
+    ns.sort_unstable();
+    let pct = |p: usize| {
         let rank = (ns.len() * p).div_ceil(100).max(1);
         ns[rank.min(ns.len()) - 1] as f64 / 1e6
     };
     metrics.push(("rollback_trials".into(), (campaigns * trials) as f64));
-    metrics.push(("fork_trials_per_sec".into(), fork_rate));
-    metrics.push(("rollback_trials_per_sec".into(), journal_rate));
-    metrics.push(("rollback_speedup_vs_fork".into(), journal_rate / fork_rate));
-    metrics.push(("fork_p50_trial_latency_ms".into(), pct(&forked, 50)));
-    metrics.push(("fork_p99_trial_latency_ms".into(), pct(&forked, 99)));
-    metrics.push(("rollback_p50_trial_latency_ms".into(), pct(&journaled, 50)));
-    metrics.push(("rollback_p99_trial_latency_ms".into(), pct(&journaled, 99)));
+    metrics.push(("rollback_trials_per_sec".into(), rate));
+    metrics.push(("rollback_p50_trial_latency_ms".into(), pct(50)));
+    metrics.push(("rollback_p99_trial_latency_ms".into(), pct(99)));
 }
 
 /// Warm-walk and batched-translation hot paths for the paging-structure

@@ -8,7 +8,7 @@
 //! * `cta attack` — run one attack trial end to end and report the
 //!   outcome phase by phase;
 //! * `cta evaluate` — drive the persistent campaign executor: a
-//!   multi-tenant queue of campaigns served boot-once/fork-per-trial,
+//!   multi-tenant queue of campaigns served boot-once/journal-per-trial,
 //!   with per-campaign JSON-lines telemetry and sustained-rate stats.
 //!
 //! ```text
@@ -23,17 +23,14 @@
 //! boot-time cell profiling on the copy-on-write backend; `--stock`
 //! drops protection. `cta evaluate --jsonl` streams one strict-JSON
 //! line per completed campaign (the `json-check --schema` gate validates
-//! the stream's shape). `--isolation fork|journal` (attack and evaluate)
-//! picks how trials are isolated from the pooled parent kernel:
-//! fork-per-trial (the default) or journaled in-place rollback — the
-//! output is byte-identical either way.
+//! the stream's shape).
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use cta_attack::{
     CampaignExecutor, CampaignRequest, ExecutorConfig, RecordedAttack, RecordingSpec, ReplayTarget,
-    SprayAttack, TemplatingAttack, TenantLimits, TrialIsolation,
+    SprayAttack, TemplatingAttack, TenantLimits,
 };
 use cta_bench::{emit_telemetry, header, kv};
 use cta_dram::StoreBackend;
@@ -42,10 +39,8 @@ use cta_telemetry::Counters;
 const USAGE: &str = "usage: cta <profile|evaluate|attack> [options]
   profile   [--seed N] [--memory-mb N] [--stock]
   attack    [--seed N] [--attack spray|templating] [--stock]
-            [--isolation fork|journal]
   evaluate  [--tenants N] [--campaigns N] [--trials N] [--workers N]
-            [--seed N] [--attack spray|templating] [--stock] [--jsonl PATH]
-            [--isolation fork|journal]";
+            [--seed N] [--attack spray|templating] [--stock] [--jsonl PATH]";
 
 struct Options {
     seed: u64,
@@ -57,7 +52,6 @@ struct Options {
     trials: usize,
     workers: usize,
     jsonl: Option<std::path::PathBuf>,
-    isolation: TrialIsolation,
 }
 
 impl Default for Options {
@@ -72,7 +66,6 @@ impl Default for Options {
             trials: 4,
             workers: 2,
             jsonl: None,
-            isolation: TrialIsolation::Fork,
         }
     }
 }
@@ -93,7 +86,6 @@ fn parse_options(args: &mut std::env::Args) -> Result<Options, String> {
             "--trials" => opts.trials = parse_num(&need(args, "--trials")?)? as usize,
             "--workers" => opts.workers = parse_num(&need(args, "--workers")?)? as usize,
             "--jsonl" => opts.jsonl = Some(need(args, "--jsonl")?.into()),
-            "--isolation" => opts.isolation = need(args, "--isolation")?.parse()?,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -112,8 +104,7 @@ fn parse_num(s: &str) -> Result<u64, String> {
 }
 
 /// The spec every subcommand shares: the standard small experiment
-/// machine, profiled at boot, attack trials under the CoW backend (forks
-/// are O(changed rows), which is what `evaluate` amortizes).
+/// machine, profiled at boot, attack trials under the CoW backend.
 fn spec(opts: &Options) -> RecordingSpec {
     let attack = if opts.attack == "spray" {
         RecordedAttack::Spray(SprayAttack {
@@ -191,9 +182,7 @@ fn cmd_attack(opts: &Options) -> ExitCode {
     let mut spec = spec(opts);
     spec.seeds = vec![opts.seed];
     let exec = CampaignExecutor::new(ExecutorConfig { workers: 1, parents_per_worker: 1 });
-    let mut request = CampaignRequest::new("cli", spec);
-    request.isolation = opts.isolation;
-    let output = match exec.run(request) {
+    let output = match exec.run(CampaignRequest::new("cli", spec)) {
         Ok(output) => output,
         Err(e) => {
             eprintln!("cta attack: {e}");
@@ -216,12 +205,8 @@ fn cmd_attack(opts: &Options) -> ExitCode {
 
 fn cmd_evaluate(opts: &Options) -> ExitCode {
     header(&format!(
-        "cta evaluate — {} tenants x {} campaigns x {} trials, {} workers, {} isolation",
-        opts.tenants,
-        opts.campaigns,
-        opts.trials,
-        opts.workers,
-        opts.isolation.name()
+        "cta evaluate — {} tenants x {} campaigns x {} trials, {} workers",
+        opts.tenants, opts.campaigns, opts.trials, opts.workers
     ));
     let exec =
         CampaignExecutor::new(ExecutorConfig { workers: opts.workers, parents_per_worker: 2 });
@@ -248,7 +233,6 @@ fn cmd_evaluate(opts: &Options) -> ExitCode {
             spec.seeds = vec![opts.seed + tenant_idx as u64; opts.trials];
             let mut request = CampaignRequest::new(tenant, spec);
             request.target = target();
-            request.isolation = opts.isolation;
             match exec.submit(request) {
                 Ok(ticket) => tickets.push((round, tenant_idx, ticket)),
                 Err(e) => {
@@ -289,8 +273,7 @@ fn cmd_evaluate(opts: &Options) -> ExitCode {
     kv("p50_trial_latency_ms", format!("{:.1}", pct(50)));
     kv("p99_trial_latency_ms", format!("{:.1}", pct(99)));
     kv("parent_boots", stats.parent_boots);
-    kv("fork_hits", stats.fork_hits);
-    kv("journal_runs", stats.journal_runs);
+    kv("pool_hits", stats.pool_hits);
     kv("steals", stats.steals);
     kv("pool_parents", stats.pool_parents);
     kv("pool_model_cache_bytes", stats.pool_model_cache_bytes);

@@ -1,7 +1,7 @@
 //! Write-ahead undo journal for [`crate::DramModule`].
 //!
-//! A journaled trial runs **in place** on a pooled parent module and rolls
-//! back in O(touched state) instead of paying a full fork per trial. The
+//! A journaled trial runs **in place** on a pooled parent module and is
+//! rolled back afterwards instead of running on a copy of the module. The
 //! journal has two planes:
 //!
 //! - **Row pre-images** (the lazily-journaled plane): the first time a
@@ -9,19 +9,22 @@
 //!   disturbance — the row's full pre-image (cell bytes + charge
 //!   timestamp) is captured, or a `None` marker if the row had never been
 //!   materialized. Rollback restores captured rows byte-for-byte and
-//!   [`crate::RowStore::unmaterialize`]s the `None`-marked ones. This is
-//!   the plane that makes journaling cheap: a trial that touches a few
-//!   dozen rows of a multi-megabyte machine journals a few dozen rows.
-//! - **Snapshots** (the eagerly-journaled plane): everything else the
-//!   module mutates — model caches, remap table, clock/window state,
+//!   [`crate::RowStore::unmaterialize`]s the `None`-marked ones. This
+//!   plane is O(touched rows): a trial that touches a few dozen rows of a
+//!   multi-megabyte machine journals a few dozen rows.
+//! - **The metadata snapshot** (the eagerly-journaled plane): the module's
+//!   whole `DramMeta` — model caches, remap table, clock/window state,
 //!   activation counters, open-row registers, statistics (including the
 //!   bounded flip log, so `take_flip_log` drains and capacity changes roll
-//!   back exactly), and the installed defense — is cloned wholesale at
-//!   `journal_begin`. These clones are cheap by construction: the model
-//!   caches hold `Rc` values (a clone is O(cached entries) refcount
-//!   bumps, never a regeneration), and the remaining state is O(total
-//!   rows) words of metadata, orders of magnitude smaller than the row
-//!   contents a fork would copy.
+//!   back exactly), and the installed defense — is cloned at
+//!   `journal_begin` and put back at rollback. The model caches hold `Rc`
+//!   values, so their clone is O(cached entries) refcount bumps, never a
+//!   regeneration. The rest is **not** O(touched state): the activation
+//!   counters are one 24-byte entry per backing row, so every journal
+//!   copies O(total rows) of them — 1.5 MiB on a 16 MiB module with
+//!   256-byte rows (65,536 rows), the larger part of a begin plus
+//!   rollback there. Making this plane lazy is the ROADMAP item "Make a
+//!   trial cost O(what it touches)".
 //!
 //! The rollback invariant — pinned by the differential suites — is that a
 //! module after `journal_begin → trial → journal_rollback` is
@@ -30,12 +33,8 @@
 
 use std::collections::HashMap;
 
-use crate::defense::{DefenseStats, RowDefense};
-use crate::remap::RemapTable;
-use crate::retention::RetentionModel;
-use crate::stats::DramStats;
+use crate::module::DramMeta;
 use crate::store::RowStore;
-use crate::vuln::VulnerabilityModel;
 
 /// Pre-image of one backing row at `journal_begin` time: `Some((bytes,
 /// last_charge_ns))` if the row was materialized, `None` if it was not.
@@ -46,19 +45,8 @@ pub(crate) type RowPreImage = Option<(Box<[u8]>, u64)>;
 pub(crate) struct DramJournal {
     /// Lazily-captured row pre-images, keyed by backing-row id.
     pub(crate) rows: HashMap<u64, RowPreImage>,
-    pub(crate) vuln: VulnerabilityModel,
-    pub(crate) retention: RetentionModel,
-    pub(crate) remap: RemapTable,
-    pub(crate) row_cache: (u64, u64),
-    pub(crate) clock_ns: u64,
-    pub(crate) window_end_ns: u64,
-    pub(crate) refresh_disabled_at: Option<u64>,
-    pub(crate) generation: u64,
-    pub(crate) activations: Vec<(u64, u64, u64)>,
-    pub(crate) open_rows: Vec<u64>,
-    pub(crate) stats: DramStats,
-    pub(crate) defense: Option<Box<dyn RowDefense>>,
-    pub(crate) defense_stats: DefenseStats,
+    /// The module's non-row state as of `journal_begin`.
+    pub(crate) meta: DramMeta,
 }
 
 impl DramJournal {

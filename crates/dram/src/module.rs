@@ -1,4 +1,5 @@
 use std::cell::Cell;
+use std::collections::HashMap;
 
 use crate::bitplane::{load_word, store_word};
 use crate::cells::{CellLayout, CellType, CellTypeMap};
@@ -98,6 +99,19 @@ pub struct DramModule {
     /// Row storage ([`StoreBackend`]-selected), indexed by backing-row id;
     /// unmaterialized rows have never been written (all cells at logic `0`).
     store: AnyRowStore,
+    /// Every other mutable plane. Fork, journal and rollback each handle it
+    /// as one value, so a field added here is isolated automatically.
+    meta: DramMeta,
+    /// Active undo journal, if a trial is running in place on this module
+    /// (see [`crate::journal`]). `None` on the hot path costs one branch.
+    journal: Option<Box<DramJournal>>,
+}
+
+/// The module's non-row state: model caches, remap table, clock and
+/// refresh machinery, activation counters, open-row registers, statistics
+/// and the installed defense.
+#[derive(Clone)]
+pub(crate) struct DramMeta {
     vuln: VulnerabilityModel,
     retention: RetentionModel,
     remap: RemapTable,
@@ -130,9 +144,6 @@ pub struct DramModule {
     /// Intervention accounting for the installed defense, separate from
     /// [`DramStats`] so undefended telemetry is unchanged.
     defense_stats: DefenseStats,
-    /// Active undo journal, if a trial is running in place on this module
-    /// (see [`crate::journal`]). `None` on the hot path costs one branch.
-    journal: Option<Box<DramJournal>>,
 }
 
 impl std::fmt::Debug for DramModule {
@@ -140,11 +151,11 @@ impl std::fmt::Debug for DramModule {
         f.debug_struct("DramModule")
             .field("capacity", &self.config.geometry.capacity_bytes())
             .field("backend", &self.store.backend())
-            .field("clock_ns", &self.clock_ns)
+            .field("clock_ns", &self.meta.clock_ns)
             .field("materialized_rows", &self.store.materialized_count())
-            .field("refresh_enabled", &self.refresh_disabled_at.is_none())
-            .field("defense", &self.defense.as_ref().map(|d| d.name()))
-            .field("stats", &format_args!("{}", self.stats))
+            .field("refresh_enabled", &self.meta.refresh_disabled_at.is_none())
+            .field("defense", &self.meta.defense.as_ref().map(|d| d.name()))
+            .field("stats", &format_args!("{}", self.meta.stats))
             .finish()
     }
 }
@@ -166,20 +177,22 @@ impl DramModule {
         let banks = config.geometry.banks() as usize;
         let row_bytes = config.geometry.row_bytes() as usize;
         DramModule {
-            vuln,
-            retention,
             store: AnyRowStore::new(config.backend, total_rows, row_bytes),
-            remap: RemapTable::new(),
-            row_cache: Cell::new((ROW_NONE, ROW_NONE)),
-            clock_ns: 0,
-            window_end_ns: config.refresh_interval_ns,
-            refresh_disabled_at: None,
-            generation: 0,
-            activations: vec![NO_ACTIVATIONS; total_rows],
-            open_rows: vec![ROW_NONE; banks],
-            stats: DramStats::default(),
-            defense: None,
-            defense_stats: DefenseStats::default(),
+            meta: DramMeta {
+                vuln,
+                retention,
+                remap: RemapTable::new(),
+                row_cache: Cell::new((ROW_NONE, ROW_NONE)),
+                clock_ns: 0,
+                window_end_ns: config.refresh_interval_ns,
+                refresh_disabled_at: None,
+                generation: 0,
+                activations: vec![NO_ACTIVATIONS; total_rows],
+                open_rows: vec![ROW_NONE; banks],
+                stats: DramStats::default(),
+                defense: None,
+                defense_stats: DefenseStats::default(),
+            },
             journal: None,
             config,
         }
@@ -196,19 +209,7 @@ impl DramModule {
         DramModule {
             config: self.config.clone(),
             store: self.store.clone(),
-            vuln: self.vuln.clone(),
-            retention: self.retention.clone(),
-            remap: self.remap.clone(),
-            row_cache: self.row_cache.clone(),
-            clock_ns: self.clock_ns,
-            window_end_ns: self.window_end_ns,
-            refresh_disabled_at: self.refresh_disabled_at,
-            generation: self.generation,
-            activations: self.activations.clone(),
-            open_rows: self.open_rows.clone(),
-            stats: self.stats.clone(),
-            defense: self.defense.clone(),
-            defense_stats: self.defense_stats.clone(),
+            meta: self.meta.clone(),
             journal: None,
         }
     }
@@ -229,22 +230,8 @@ impl DramModule {
     /// Panics if a journal is already active (journals do not nest).
     pub fn journal_begin(&mut self) {
         assert!(self.journal.is_none(), "DRAM journal already active");
-        self.journal = Some(Box::new(DramJournal {
-            rows: std::collections::HashMap::new(),
-            vuln: self.vuln.clone(),
-            retention: self.retention.clone(),
-            remap: self.remap.clone(),
-            row_cache: self.row_cache.get(),
-            clock_ns: self.clock_ns,
-            window_end_ns: self.window_end_ns,
-            refresh_disabled_at: self.refresh_disabled_at,
-            generation: self.generation,
-            activations: self.activations.clone(),
-            open_rows: self.open_rows.clone(),
-            stats: self.stats.clone(),
-            defense: self.defense.clone(),
-            defense_stats: self.defense_stats.clone(),
-        }));
+        self.journal =
+            Some(Box::new(DramJournal { rows: HashMap::new(), meta: self.meta.clone() }));
     }
 
     /// Rolls the module back to its [`Self::journal_begin`] state: every
@@ -267,19 +254,7 @@ impl DramModule {
                 None => self.store.unmaterialize(row),
             }
         }
-        self.vuln = j.vuln;
-        self.retention = j.retention;
-        self.remap = j.remap;
-        self.row_cache.set(j.row_cache);
-        self.clock_ns = j.clock_ns;
-        self.window_end_ns = j.window_end_ns;
-        self.refresh_disabled_at = j.refresh_disabled_at;
-        self.generation = j.generation;
-        self.activations = j.activations;
-        self.open_rows = j.open_rows;
-        self.stats = j.stats;
-        self.defense = j.defense;
-        self.defense_stats = j.defense_stats;
+        self.meta = j.meta;
     }
 
     /// Whether an undo journal is currently active.
@@ -341,12 +316,12 @@ impl DramModule {
 
     /// Current simulated time in nanoseconds.
     pub fn now_ns(&self) -> u64 {
-        self.clock_ns
+        self.meta.clock_ns
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> &DramStats {
-        &self.stats
+        &self.meta.stats
     }
 
     /// The disturbance/decay engine this module runs on.
@@ -364,8 +339,8 @@ impl DramModule {
     ///
     /// Panics if `rows` is zero.
     pub fn set_model_cache_capacity(&mut self, rows: usize) {
-        self.vuln.set_cache_capacity(rows);
-        self.retention.set_cache_capacity(rows);
+        self.meta.vuln.set_cache_capacity(rows);
+        self.meta.retention.set_cache_capacity(rows);
         self.sync_model_stats();
     }
 
@@ -376,15 +351,15 @@ impl DramModule {
     /// memory/performance knob — evicted entries are regenerated from the
     /// module seed on demand.
     pub fn set_model_cache_bytes(&mut self, budget: Option<usize>) {
-        self.vuln.set_cache_bytes(budget);
-        self.retention.set_cache_bytes(budget);
+        self.meta.vuln.set_cache_bytes(budget);
+        self.meta.retention.set_cache_bytes(budget);
         self.sync_model_stats();
     }
 
     /// Rows currently retained in the largest per-row model cache — what
     /// the O(capacity) memory-bound test watches during a templating sweep.
     pub fn model_cache_rows(&self) -> usize {
-        self.vuln.cached_rows().max(self.retention.cached_rows())
+        self.meta.vuln.cached_rows().max(self.meta.retention.cached_rows())
     }
 
     /// Payload bytes currently retained across all per-row model caches,
@@ -393,12 +368,12 @@ impl DramModule {
     /// `vuln_cache_bytes`/`retention_cache_bytes` report only the
     /// engine-invariant subset (bit maps and long-cell lists).
     pub fn model_cache_bytes(&self) -> usize {
-        self.vuln.cache_bytes() + self.retention.cache_bytes()
+        self.meta.vuln.cache_bytes() + self.meta.retention.cache_bytes()
     }
 
     /// Clears the per-flip event log, keeping counters.
     pub fn clear_flip_log(&mut self) {
-        self.stats.clear_flip_log();
+        self.meta.stats.clear_flip_log();
     }
 
     /// Takes the retained flip log (oldest first) together with the exact
@@ -408,7 +383,7 @@ impl DramModule {
     /// faithful transcript (record/replay) must check
     /// [`FlipLog::is_complete`] instead of assuming it.
     pub fn take_flip_log(&mut self) -> FlipLog {
-        let (events, dropped) = self.stats.flip_log.drain_to_vec();
+        let (events, dropped) = self.meta.stats.flip_log.drain_to_vec();
         FlipLog { events, dropped }
     }
 
@@ -416,12 +391,12 @@ impl DramModule {
     /// disables event retention entirely (counters still accumulate);
     /// shrinking evicts the oldest retained events.
     pub fn set_flip_log_capacity(&mut self, capacity: usize) {
-        self.stats.flip_log.set_capacity(capacity);
+        self.meta.stats.flip_log.set_capacity(capacity);
     }
 
     /// Whether auto-refresh is currently running.
     pub fn refresh_enabled(&self) -> bool {
-        self.refresh_disabled_at.is_none()
+        self.meta.refresh_disabled_at.is_none()
     }
 
     /// Ground-truth cell type of a (logical) row.
@@ -468,15 +443,15 @@ impl DramModule {
                 });
             }
         }
-        self.remap.remap(faulty, spare, self.config.layout)?;
+        self.meta.remap.remap(faulty, spare, self.config.layout)?;
         // Either side of the new swap may be the cached resolution.
-        self.row_cache.set((ROW_NONE, ROW_NONE));
+        self.meta.row_cache.set((ROW_NONE, ROW_NONE));
         Ok(())
     }
 
     /// The active remap table.
     pub fn remap_table(&self) -> &RemapTable {
-        &self.remap
+        &self.meta.remap
     }
 
     // ------------------------------------------------------------------
@@ -490,8 +465,8 @@ impl DramModule {
     /// Returns [`DramError::OutOfBounds`] if the range exceeds capacity.
     pub fn read_into(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), DramError> {
         self.check_range(addr, buf.len())?;
-        self.stats.reads += 1;
-        self.set_clock(self.clock_ns + COL_ACCESS_NS);
+        self.meta.stats.reads += 1;
+        self.set_clock(self.meta.clock_ns + COL_ACCESS_NS);
         for span in Spans::new(self.config.geometry.row_bytes(), addr, buf.len()) {
             let backing = self.resolve_row(span.row);
             self.touch_row(backing);
@@ -522,12 +497,12 @@ impl DramModule {
     /// Returns [`DramError::OutOfBounds`] if the range exceeds capacity.
     pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), DramError> {
         self.check_range(addr, data.len())?;
-        self.stats.writes += 1;
-        self.set_clock(self.clock_ns + COL_ACCESS_NS);
+        self.meta.stats.writes += 1;
+        self.set_clock(self.meta.clock_ns + COL_ACCESS_NS);
         for span in Spans::new(self.config.geometry.row_bytes(), addr, data.len()) {
             let backing = self.resolve_row(span.row);
             self.touch_row(backing);
-            let row = self.store.materialize(backing.0, self.clock_ns);
+            let row = self.store.materialize(backing.0, self.meta.clock_ns);
             row.bytes[span.col..span.col + span.take]
                 .copy_from_slice(&data[span.off..span.off + span.take]);
         }
@@ -547,8 +522,8 @@ impl DramModule {
         let col = (addr % row_bytes) as usize;
         if row_bytes - col as u64 >= 8 {
             self.check_range(addr, 8)?;
-            self.stats.reads += 1;
-            self.set_clock(self.clock_ns + COL_ACCESS_NS);
+            self.meta.stats.reads += 1;
+            self.set_clock(self.meta.clock_ns + COL_ACCESS_NS);
             let backing = self.resolve_row(RowId(addr / row_bytes));
             self.touch_row(backing);
             return Ok(match self.store.bytes(backing.0) {
@@ -574,11 +549,11 @@ impl DramModule {
         let col = (addr % row_bytes) as usize;
         if row_bytes - col as u64 >= 8 {
             self.check_range(addr, 8)?;
-            self.stats.writes += 1;
-            self.set_clock(self.clock_ns + COL_ACCESS_NS);
+            self.meta.stats.writes += 1;
+            self.set_clock(self.meta.clock_ns + COL_ACCESS_NS);
             let backing = self.resolve_row(RowId(addr / row_bytes));
             self.touch_row(backing);
-            let row = self.store.materialize(backing.0, self.clock_ns);
+            let row = self.store.materialize(backing.0, self.meta.clock_ns);
             row.bytes[col..col + 8].copy_from_slice(&value.to_le_bytes());
             return Ok(());
         }
@@ -595,11 +570,11 @@ impl DramModule {
         // One write's worth of accounting per row span — the historical
         // delegate-to-`write` semantics — without staging a chunk buffer.
         for span in Spans::new(self.config.geometry.row_bytes(), addr, len) {
-            self.stats.writes += 1;
-            self.set_clock(self.clock_ns + COL_ACCESS_NS);
+            self.meta.stats.writes += 1;
+            self.set_clock(self.meta.clock_ns + COL_ACCESS_NS);
             let backing = self.resolve_row(span.row);
             self.touch_row(backing);
-            let row = self.store.materialize(backing.0, self.clock_ns);
+            let row = self.store.materialize(backing.0, self.meta.clock_ns);
             row.bytes[span.col..span.col + span.take].fill(byte);
         }
         Ok(())
@@ -657,14 +632,14 @@ impl DramModule {
 
     /// Advances the simulated clock by `ns`.
     pub fn advance(&mut self, ns: u64) {
-        self.set_clock(self.clock_ns + ns);
+        self.set_clock(self.meta.clock_ns + ns);
     }
 
     /// Disables auto-refresh (for profiling). Idempotent.
     pub fn disable_refresh(&mut self) {
-        if self.refresh_disabled_at.is_none() {
-            self.refresh_disabled_at = Some(self.clock_ns);
-            self.generation += 1;
+        if self.meta.refresh_disabled_at.is_none() {
+            self.meta.refresh_disabled_at = Some(self.meta.clock_ns);
+            self.meta.generation += 1;
             self.reset_window_end();
         }
     }
@@ -672,10 +647,10 @@ impl DramModule {
     /// Re-enables auto-refresh, locking in any decay that occurred while it
     /// was off. Idempotent.
     pub fn enable_refresh(&mut self) {
-        if self.refresh_disabled_at.is_some() {
+        if self.meta.refresh_disabled_at.is_some() {
             self.decay_all_materialized();
-            self.refresh_disabled_at = None;
-            self.generation += 1;
+            self.meta.refresh_disabled_at = None;
+            self.meta.generation += 1;
             self.reset_window_end();
         }
     }
@@ -702,17 +677,18 @@ impl DramModule {
         // While power is off every row decays relative to its last charge;
         // cooling divides the *effective* elapsed time.
         let effective = (duration_ns as f64 / retention_factor) as u64;
-        self.clock_ns += duration_ns;
-        let decay_until = self.clock_ns.saturating_sub(duration_ns - effective.min(duration_ns));
+        self.meta.clock_ns += duration_ns;
+        let decay_until =
+            self.meta.clock_ns.saturating_sub(duration_ns - effective.min(duration_ns));
         for idx in self.store.materialized_rows() {
             self.apply_decay_to(RowId(idx), decay_until);
         }
         // After power-up, refresh resumes: whatever survived is recharged.
-        self.store.recharge_all(self.clock_ns);
-        self.open_rows.fill(ROW_NONE);
-        self.activations.fill(NO_ACTIVATIONS);
-        self.generation += 1;
-        self.refresh_disabled_at = None;
+        self.store.recharge_all(self.meta.clock_ns);
+        self.meta.open_rows.fill(ROW_NONE);
+        self.meta.activations.fill(NO_ACTIVATIONS);
+        self.meta.generation += 1;
+        self.meta.refresh_disabled_at = None;
         self.reset_window_end();
     }
 
@@ -750,10 +726,11 @@ impl DramModule {
         let trc = self.config.disturbance.trc_ns.max(1);
         let mut remaining = count;
         while remaining > 0 {
-            let fit_by_time = ((self.window_end_ns.saturating_sub(self.clock_ns)) / trc).max(1);
+            let fit_by_time =
+                ((self.meta.window_end_ns.saturating_sub(self.meta.clock_ns)) / trc).max(1);
             let fit = remaining.min(fit_by_time);
-            self.stats.activations += fit;
-            self.set_clock(self.clock_ns + fit * trc);
+            self.meta.stats.activations += fit;
+            self.set_clock(self.meta.clock_ns + fit * trc);
             self.record_activation(backing, fit);
             remaining -= fit;
         }
@@ -802,7 +779,7 @@ impl DramModule {
             return 0;
         }
         let backing = self.resolve_row(row);
-        let (gen, win, count) = self.activations[backing.0 as usize];
+        let (gen, win, count) = self.meta.activations[backing.0 as usize];
         if (gen, win) == self.current_window_key() {
             count
         } else {
@@ -815,6 +792,7 @@ impl DramModule {
     pub fn hottest_rows(&self, n: usize) -> Vec<(RowId, u64)> {
         let key = self.current_window_key();
         let mut rows: Vec<(RowId, u64)> = self
+            .meta
             .activations
             .iter()
             .enumerate()
@@ -840,9 +818,9 @@ impl DramModule {
         let backing = self.resolve_row(row);
         for victim in self.config.geometry.adjacent_rows(backing)? {
             self.journal_capture(victim);
-            self.store.touch(victim.0, self.clock_ns);
+            self.store.touch(victim.0, self.meta.clock_ns);
         }
-        self.activations[backing.0 as usize] = NO_ACTIVATIONS;
+        self.meta.activations[backing.0 as usize] = NO_ACTIVATIONS;
         Ok(())
     }
 
@@ -853,32 +831,32 @@ impl DramModule {
     /// Installs a software defense on the activation path, replacing any
     /// previous one. See [`crate::defense`] for the hook contract.
     pub fn install_defense(&mut self, defense: Box<dyn RowDefense>) {
-        self.defense = Some(defense);
-        self.defense_stats = DefenseStats::default();
+        self.meta.defense = Some(defense);
+        self.meta.defense_stats = DefenseStats::default();
     }
 
     /// Removes and returns the installed defense, if any. The accumulated
     /// [`DefenseStats`] are kept until the next install.
     pub fn uninstall_defense(&mut self) -> Option<Box<dyn RowDefense>> {
-        self.defense.take()
+        self.meta.defense.take()
     }
 
     /// The installed defense, if any.
     pub fn defense(&self) -> Option<&dyn RowDefense> {
-        self.defense.as_deref()
+        self.meta.defense.as_deref()
     }
 
     /// Module-side accounting of defense interventions.
     pub fn defense_stats(&self) -> &DefenseStats {
-        &self.defense_stats
+        &self.meta.defense_stats
     }
 
     /// Telemetry snapshot of the installed defense (`None` when no defense
     /// is installed, so undefended snapshots carry no `defense` group).
     pub fn defense_snapshot(&self) -> Option<DefenseSnapshot> {
-        self.defense.as_ref().map(|d| DefenseSnapshot {
+        self.meta.defense.as_ref().map(|d| DefenseSnapshot {
             name: d.name(),
-            stats: self.defense_stats.clone(),
+            stats: self.meta.defense_stats.clone(),
             counters: d.counters(),
         })
     }
@@ -895,7 +873,7 @@ impl DramModule {
             return Err(DramError::RowOutOfBounds { row, rows: self.config.geometry.total_rows() });
         }
         let backing = self.resolve_row(row);
-        if let Some(defense) = self.defense.as_mut() {
+        if let Some(defense) = self.meta.defense.as_mut() {
             defense.on_protect_row(backing);
         }
         Ok(())
@@ -912,7 +890,7 @@ impl DramModule {
             return Err(DramError::RowOutOfBounds { row, rows: self.config.geometry.total_rows() });
         }
         let backing = self.resolve_row(row);
-        let bits = self.vuln.vulnerable_bits(backing).to_vec();
+        let bits = self.meta.vuln.vulnerable_bits(backing).to_vec();
         self.sync_model_stats();
         Ok(bits)
     }
@@ -930,9 +908,9 @@ impl DramModule {
     }
 
     fn current_window_key(&self) -> (u64, u64) {
-        match self.refresh_disabled_at {
-            None => (self.generation, self.clock_ns / self.config.refresh_interval_ns),
-            Some(t0) => (self.generation, t0 / self.config.refresh_interval_ns),
+        match self.meta.refresh_disabled_at {
+            None => (self.meta.generation, self.meta.clock_ns / self.config.refresh_interval_ns),
+            Some(t0) => (self.meta.generation, t0 / self.config.refresh_interval_ns),
         }
     }
 
@@ -941,36 +919,36 @@ impl DramModule {
     /// hit the same row repeatedly, so the common case skips the table.
     #[inline]
     fn resolve_row(&self, row: RowId) -> RowId {
-        let (cached_row, cached_backing) = self.row_cache.get();
+        let (cached_row, cached_backing) = self.meta.row_cache.get();
         if cached_row == row.0 {
             return RowId(cached_backing);
         }
-        let backing = self.remap.resolve(row);
-        self.row_cache.set((row.0, backing.0));
+        let backing = self.meta.remap.resolve(row);
+        self.meta.row_cache.set((row.0, backing.0));
         backing
     }
 
     fn set_clock(&mut self, new: u64) {
-        debug_assert!(new >= self.clock_ns);
-        if new < self.window_end_ns {
+        debug_assert!(new >= self.meta.clock_ns);
+        if new < self.meta.window_end_ns {
             // Common case: still inside the current refresh window (or
             // refresh is off, `window_end_ns == u64::MAX`) — no completed
             // windows to account, no divisions.
-            self.clock_ns = new;
+            self.meta.clock_ns = new;
             return;
         }
         let interval = self.config.refresh_interval_ns;
-        self.stats.refresh_windows += new / interval - self.clock_ns / interval;
-        self.clock_ns = new;
-        self.window_end_ns = (new / interval + 1) * interval;
+        self.meta.stats.refresh_windows += new / interval - self.meta.clock_ns / interval;
+        self.meta.clock_ns = new;
+        self.meta.window_end_ns = (new / interval + 1) * interval;
     }
 
     /// Recomputes [`Self::window_end_ns`] after a refresh-state change.
     fn reset_window_end(&mut self) {
-        self.window_end_ns = match self.refresh_disabled_at {
+        self.meta.window_end_ns = match self.meta.refresh_disabled_at {
             None => {
                 let interval = self.config.refresh_interval_ns;
-                (self.clock_ns / interval + 1) * interval
+                (self.meta.clock_ns / interval + 1) * interval
             }
             Some(_) => u64::MAX,
         };
@@ -980,29 +958,29 @@ impl DramModule {
     /// pending decay, row-buffer hit/miss, recharge.
     fn touch_row(&mut self, backing: RowId) {
         self.journal_capture(backing);
-        if self.refresh_disabled_at.is_some() {
-            self.apply_decay_to(backing, self.clock_ns);
+        if self.meta.refresh_disabled_at.is_some() {
+            self.apply_decay_to(backing, self.meta.clock_ns);
         }
         let bank =
             self.config.geometry.bank_coord(backing).expect("backing row in bounds").bank as usize;
-        let miss = self.open_rows[bank] != backing.0;
+        let miss = self.meta.open_rows[bank] != backing.0;
         if miss {
-            self.open_rows[bank] = backing.0;
-            self.stats.activations += 1;
-            self.set_clock(self.clock_ns + self.config.disturbance.trc_ns);
+            self.meta.open_rows[bank] = backing.0;
+            self.meta.stats.activations += 1;
+            self.set_clock(self.meta.clock_ns + self.config.disturbance.trc_ns);
             // Ordinary activations count toward the disturbance threshold
             // too: this is what lets Algorithm 1 hammer page-table rows
             // through the MMU's own walk reads.
             self.record_activation(backing, 1);
         }
-        self.store.touch(backing.0, self.clock_ns);
+        self.store.touch(backing.0, self.meta.clock_ns);
     }
 
     /// Adds `count` activations to `backing`'s within-window counter and
     /// disturbs neighbors on a threshold crossing, consulting the installed
     /// defense first. Without a defense this is exactly the pre-hook path.
     fn record_activation(&mut self, backing: RowId, count: u64) {
-        if self.defense.is_some() {
+        if self.meta.defense.is_some() {
             self.record_activation_defended(backing, count);
             return;
         }
@@ -1015,10 +993,10 @@ impl DramModule {
     fn apply_activations(&mut self, backing: RowId, count: u64) {
         let threshold = self.config.disturbance.hammer_threshold;
         let key = self.current_window_key();
-        let (gen, win, have) = self.activations[backing.0 as usize];
+        let (gen, win, have) = self.meta.activations[backing.0 as usize];
         let before = if (gen, win) == key { have } else { 0 };
         let after = before + count;
-        self.activations[backing.0 as usize] = (key.0, key.1, after);
+        self.meta.activations[backing.0 as usize] = (key.0, key.1, after);
         if before < threshold && after >= threshold {
             let _ = self.disturb_neighbors(backing);
         }
@@ -1029,7 +1007,7 @@ impl DramModule {
     /// targeted refreshes. Re-consulting on the remainder lets a defense
     /// break up even a single burst larger than its own threshold.
     fn record_activation_defended(&mut self, backing: RowId, count: u64) {
-        self.defense_stats.activations_seen += count;
+        self.meta.defense_stats.activations_seen += count;
         let neighbors = self.config.geometry.adjacent_rows(backing).unwrap_or_default();
         let mut remaining = count;
         // Guards against a defense that neither permits progress nor resets
@@ -1037,22 +1015,22 @@ impl DramModule {
         let mut stalled_rounds = 0u32;
         while remaining > 0 {
             let key = self.current_window_key();
-            let (gen, win, have) = self.activations[backing.0 as usize];
+            let (gen, win, have) = self.meta.activations[backing.0 as usize];
             let before = if (gen, win) == key { have } else { 0 };
             let ctx = ActivationCtx {
                 row: backing,
                 count: remaining,
                 window_activations: before,
-                now_ns: self.clock_ns,
+                now_ns: self.meta.clock_ns,
                 hammer_threshold: self.config.disturbance.hammer_threshold,
                 neighbors: &neighbors,
             };
             // Take the box out for the call so the defense's `&mut self`
             // cannot alias the module state it reads through `ctx`.
-            let mut defense = self.defense.take().expect("defended path has a defense");
+            let mut defense = self.meta.defense.take().expect("defended path has a defense");
             let verdict = defense.on_activation(&ctx);
-            self.defense = Some(defense);
-            self.defense_stats.consultations += 1;
+            self.meta.defense = Some(defense);
+            self.meta.defense_stats.consultations += 1;
             match verdict {
                 Verdict::Allow => {
                     self.apply_activations(backing, remaining);
@@ -1063,7 +1041,7 @@ impl DramModule {
                     if take > 0 {
                         self.apply_activations(backing, take);
                     }
-                    self.defense_stats.activations_denied += remaining - take;
+                    self.meta.defense_stats.activations_denied += remaining - take;
                     remaining = 0;
                 }
                 Verdict::Refresh { permitted, targets } => {
@@ -1099,18 +1077,18 @@ impl DramModule {
         if let Ok(victims) = self.config.geometry.adjacent_rows(backing) {
             for victim in victims {
                 self.journal_capture(victim);
-                self.store.touch(victim.0, self.clock_ns);
+                self.store.touch(victim.0, self.meta.clock_ns);
             }
         }
-        self.activations[backing.0 as usize] = NO_ACTIVATIONS;
-        self.defense_stats.targeted_refreshes += 1;
+        self.meta.activations[backing.0 as usize] = NO_ACTIVATIONS;
+        self.meta.defense_stats.targeted_refreshes += 1;
     }
 
     /// Applies retention decay to a materialized row up to time `now`.
     fn apply_decay_to(&mut self, backing: RowId, now: u64) {
         let Some(last_charge) = self.store.last_charge_ns(backing.0) else { return };
         self.journal_capture(backing);
-        let since = match self.refresh_disabled_at {
+        let since = match self.meta.refresh_disabled_at {
             Some(t0) => last_charge.max(t0),
             // Power-off path calls with refresh nominally enabled; decay
             // accrues from the last charge directly.
@@ -1123,15 +1101,16 @@ impl DramModule {
         let cell_type = self.config.layout.cell_type(backing);
         let engine = self.config.flip_engine;
         let row = self.store.materialize(backing.0, now);
-        let changed = self.retention.apply_decay(backing, cell_type, row.bytes, elapsed, engine);
+        let changed =
+            self.meta.retention.apply_decay(backing, cell_type, row.bytes, elapsed, engine);
         *row.last_charge_ns = now;
-        self.stats.decay_flips += changed;
+        self.meta.stats.decay_flips += changed;
         self.sync_model_stats();
     }
 
     fn decay_all_materialized(&mut self) {
         for idx in self.store.materialized_rows() {
-            self.apply_decay_to(RowId(idx), self.clock_ns);
+            self.apply_decay_to(RowId(idx), self.meta.clock_ns);
         }
     }
 
@@ -1150,17 +1129,17 @@ impl DramModule {
     /// `tests/flip_engine_differential.rs` proves over whole campaigns.
     fn disturb(&mut self, victim: RowId) {
         self.journal_capture(victim);
-        let bits = self.vuln.vulnerable_bits(victim);
+        let bits = self.meta.vuln.vulnerable_bits(victim);
         if bits.is_empty() {
-            self.stats.disturbances += 1;
+            self.meta.stats.disturbances += 1;
             self.sync_model_stats();
             return;
         }
         // Disturbance acts on the decayed state if refresh is off.
-        if self.refresh_disabled_at.is_some() {
-            self.apply_decay_to(victim, self.clock_ns);
+        if self.meta.refresh_disabled_at.is_some() {
+            self.apply_decay_to(victim, self.meta.clock_ns);
         }
-        let clock = self.clock_ns;
+        let clock = self.meta.clock_ns;
         match self.config.flip_engine {
             FlipEngine::Scalar => {
                 let row = self.store.materialize(victim.0, clock);
@@ -1178,11 +1157,11 @@ impl DramModule {
                     }
                 }
                 for e in events {
-                    self.stats.record_flip(e);
+                    self.meta.stats.record_flip(e);
                 }
             }
             FlipEngine::Wordwise => {
-                let planes = self.vuln.planes(victim, &bits);
+                let planes = self.meta.vuln.planes(victim, &bits);
                 let row = self.store.materialize(victim.0, clock);
                 for pw in planes.iter() {
                     let w = pw.word as usize;
@@ -1197,8 +1176,8 @@ impl DramModule {
                         continue;
                     }
                     store_word(row.bytes, w, (word & !fire_otz) | fire_zto);
-                    self.stats.flips_one_to_zero += u64::from(fire_otz.count_ones());
-                    self.stats.flips_zero_to_one += u64::from(fire_zto.count_ones());
+                    self.meta.stats.flips_one_to_zero += u64::from(fire_otz.count_ones());
+                    self.meta.stats.flips_zero_to_one += u64::from(fire_zto.count_ones());
                     // Per-bit events in ascending bit order, exactly as the
                     // scalar loop logs them (vulnerable bits are sorted).
                     let base = 64 * w as u64;
@@ -1210,7 +1189,7 @@ impl DramModule {
                         } else {
                             crate::FlipDirection::ZeroToOne
                         };
-                        self.stats.flip_log.push(FlipEvent {
+                        self.meta.stats.flip_log.push(FlipEvent {
                             row: victim,
                             bit: base + b,
                             direction,
@@ -1221,17 +1200,17 @@ impl DramModule {
                 }
             }
         }
-        self.stats.disturbances += 1;
+        self.meta.stats.disturbances += 1;
         self.sync_model_stats();
     }
 
     /// Mirrors the model-cache eviction counters and engine-invariant byte
     /// gauges into the stats snapshot.
     fn sync_model_stats(&mut self) {
-        self.stats.vuln_cache_evictions = self.vuln.evictions();
-        self.stats.retention_cache_evictions = self.retention.evictions();
-        self.stats.vuln_cache_bytes = self.vuln.map_bytes() as u64;
-        self.stats.retention_cache_bytes = self.retention.long_bytes() as u64;
+        self.meta.stats.vuln_cache_evictions = self.meta.vuln.evictions();
+        self.meta.stats.retention_cache_evictions = self.meta.retention.evictions();
+        self.meta.stats.vuln_cache_bytes = self.meta.vuln.map_bytes() as u64;
+        self.meta.stats.retention_cache_bytes = self.meta.retention.long_bytes() as u64;
     }
 }
 

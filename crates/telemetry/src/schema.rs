@@ -481,15 +481,9 @@ pub const SERVICE_BASELINE_METRICS: &[&str] =
     &["service_trials_per_sec", "service_p99_trial_latency_ms", "service_speedup_vs_reboot"];
 
 /// Metrics the `rollback` baseline section must record: journaled
-/// in-place trial throughput against the fork path it replaces, the tail
-/// latencies of both, and the speedup ratio (the label's whole point).
-pub const ROLLBACK_BASELINE_METRICS: &[&str] = &[
-    "rollback_trials_per_sec",
-    "fork_trials_per_sec",
-    "rollback_speedup_vs_fork",
-    "rollback_p50_trial_latency_ms",
-    "rollback_p99_trial_latency_ms",
-];
+/// in-place trial throughput and its median and tail latencies.
+pub const ROLLBACK_BASELINE_METRICS: &[&str] =
+    &["rollback_trials_per_sec", "rollback_p50_trial_latency_ms", "rollback_p99_trial_latency_ms"];
 
 #[cfg(test)]
 mod tests {
@@ -692,16 +686,13 @@ mod tests {
         .unwrap();
         let errors = validate_baseline(&missing);
         let paths: Vec<&str> = errors.iter().map(|e| e.path.as_str()).collect();
-        assert!(paths.contains(&"rollback.metrics.fork_trials_per_sec"), "{errors:?}");
-        assert!(paths.contains(&"rollback.metrics.rollback_speedup_vs_fork"), "{errors:?}");
+        assert_eq!(errors.len(), 2, "{errors:?}");
         assert!(paths.contains(&"rollback.metrics.rollback_p50_trial_latency_ms"), "{errors:?}");
         assert!(paths.contains(&"rollback.metrics.rollback_p99_trial_latency_ms"), "{errors:?}");
 
         let complete = parse(
             r#"{"rollback": {"quick": false, "metrics": {
                 "rollback_trials_per_sec": 90.0,
-                "fork_trials_per_sec": 45.0,
-                "rollback_speedup_vs_fork": 2.0,
                 "rollback_p50_trial_latency_ms": 8.0,
                 "rollback_p99_trial_latency_ms": 20.0}}}"#,
         )

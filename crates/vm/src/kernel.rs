@@ -252,32 +252,22 @@ impl KernelConfig {
 /// the precondition of every PTE-based privilege-escalation attack.
 pub struct Kernel {
     dram: DramModule,
-    alloc: ZonedAllocator,
-    walker: Walker,
-    tlb: Tlb,
-    psc: Psc,
-    processes: BTreeMap<u64, Process>,
-    files: BTreeMap<u64, FileObject>,
-    owners: HashMap<u64, FrameOwner>,
-    next_pid: u64,
-    next_file: u64,
-    stats: KernelStats,
+    /// Every mutable plane above DRAM. Fork, journal and rollback each
+    /// handle it as one value, so a field added here is isolated
+    /// automatically.
+    meta: KernelMeta,
     multi_level: bool,
-    secret: Option<(Pfn, [u8; 16])>,
-    /// Active undo journal, if a trial is running in place on this kernel
-    /// (see [`Self::journal_begin`]). `None` outside journaled trials.
-    journal: Option<Box<KernelJournal>>,
+    /// Snapshot of `meta` taken by [`Self::journal_begin`], if a trial is
+    /// running in place on this kernel. `None` outside journaled trials.
+    journal: Option<Box<KernelMeta>>,
 }
 
-/// Snapshot of every kernel-side plane a journaled trial may mutate. The
-/// DRAM module journals itself (row pre-images plus metadata snapshots,
-/// see `cta_dram`'s journal); this struct covers the seams above it: PTE
-/// stores land in DRAM rows (journaled there), but the allocator's
-/// free-lists, the TLB/PSC arrays, and the process/file/owner maps live
-/// outside DRAM and must be restored exactly — they are all O(machine
-/// metadata), orders of magnitude smaller than the row contents a fork
-/// would deep-copy.
-struct KernelJournal {
+/// The kernel's non-DRAM state: the allocator's free-lists, the TLB/PSC
+/// arrays, the process/file/owner maps and the kernel counters. PTE stores
+/// land in DRAM rows and are journaled there; everything here lives outside
+/// DRAM and is cloned whole by a fork or a journal.
+#[derive(Clone)]
+struct KernelMeta {
     alloc: ZonedAllocator,
     walker: Walker,
     tlb: Tlb,
@@ -294,10 +284,10 @@ struct KernelJournal {
 impl fmt::Debug for Kernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Kernel")
-            .field("processes", &self.processes.len())
-            .field("files", &self.files.len())
-            .field("cta", &self.alloc.cta_enabled())
-            .field("stats", &self.stats)
+            .field("processes", &self.meta.processes.len())
+            .field("files", &self.meta.files.len())
+            .field("cta", &self.meta.alloc.cta_enabled())
+            .field("stats", &self.meta.stats)
             .finish()
     }
 }
@@ -343,29 +333,31 @@ impl Kernel {
         let multi_level = config.cta.as_ref().map(|s| s.multi_level).unwrap_or(false);
         let mut kernel = Kernel {
             dram,
-            alloc: ZonedAllocator::new(map),
-            walker: Walker::new(),
-            tlb: Tlb::new(config.tlb_entries),
-            psc: Psc::new(config.psc_entries),
-            processes: BTreeMap::new(),
-            files: BTreeMap::new(),
-            owners: HashMap::new(),
-            next_pid: 1,
-            next_file: 1,
-            stats: KernelStats::default(),
+            meta: KernelMeta {
+                alloc: ZonedAllocator::new(map),
+                walker: Walker::new(),
+                tlb: Tlb::new(config.tlb_entries),
+                psc: Psc::new(config.psc_entries),
+                processes: BTreeMap::new(),
+                files: BTreeMap::new(),
+                owners: HashMap::new(),
+                next_pid: 1,
+                next_file: 1,
+                stats: KernelStats::default(),
+                secret: None,
+            },
             multi_level,
-            secret: None,
             journal: None,
         };
         // Reserve the zero frame so that pfn 0 never appears in a PTE, and
         // plant the kernel secret used to verify privilege escalation.
-        let zero = kernel.alloc.alloc_page(GfpFlags::KERNEL)?;
-        kernel.owners.insert(zero.0, FrameOwner::Kernel);
-        let secret_pfn = kernel.alloc.alloc_page(GfpFlags::KERNEL)?;
-        kernel.owners.insert(secret_pfn.0, FrameOwner::Kernel);
+        let zero = kernel.meta.alloc.alloc_page(GfpFlags::KERNEL)?;
+        kernel.meta.owners.insert(zero.0, FrameOwner::Kernel);
+        let secret_pfn = kernel.meta.alloc.alloc_page(GfpFlags::KERNEL)?;
+        kernel.meta.owners.insert(secret_pfn.0, FrameOwner::Kernel);
         let pattern = *b"KERNEL-SECRET-#1";
         kernel.dram.write(secret_pfn.addr().0, &pattern)?;
-        kernel.secret = Some((secret_pfn, pattern));
+        kernel.meta.secret = Some((secret_pfn, pattern));
         Ok(kernel)
     }
 
@@ -391,7 +383,7 @@ impl Kernel {
     ///
     /// Forking a freshly booted kernel is indistinguishable from booting a
     /// second one with the same [`KernelConfig`] — the substrate of
-    /// boot-once/fork-per-trial campaigns. With the
+    /// parallel fan-out from one booted parent. With the
     /// [`cta_dram::StoreBackend::Cow`] backend the DRAM snapshot is
     /// copy-on-write, so a fork costs O(materialized rows) reference bumps
     /// and each trial pays only for the rows it actually changes; other
@@ -399,18 +391,8 @@ impl Kernel {
     pub fn fork(&self) -> Kernel {
         Kernel {
             dram: self.dram.fork(),
-            alloc: self.alloc.clone(),
-            walker: self.walker,
-            tlb: self.tlb.clone(),
-            psc: self.psc.clone(),
-            processes: self.processes.clone(),
-            files: self.files.clone(),
-            owners: self.owners.clone(),
-            next_pid: self.next_pid,
-            next_file: self.next_file,
-            stats: self.stats,
+            meta: self.meta.clone(),
             multi_level: self.multi_level,
-            secret: self.secret,
             journal: None,
         }
     }
@@ -421,11 +403,11 @@ impl Kernel {
 
     /// Starts an undo journal so a trial can run **in place** on this
     /// kernel and be rolled back with [`Self::journal_rollback`] instead
-    /// of paying a full [`Self::fork`] per trial. The DRAM module journals
-    /// its own planes (row pre-images captured on first touch, metadata
-    /// snapshots); this layer snapshots the allocator, TLB, page-structure
-    /// cache, and the process/file/owner maps — O(machine metadata), not
-    /// O(machine memory).
+    /// of running on a [`Self::fork`]. The DRAM module journals its own
+    /// planes (row pre-images captured on first touch, a metadata
+    /// snapshot); this layer snapshots the kernel's non-DRAM state (the
+    /// allocator, TLB, page-structure cache, process/file/owner maps and
+    /// counters) whole — O(machine metadata), not O(machine memory).
     ///
     /// # Panics
     ///
@@ -433,19 +415,7 @@ impl Kernel {
     pub fn journal_begin(&mut self) {
         assert!(self.journal.is_none(), "kernel journal already active");
         self.dram.journal_begin();
-        self.journal = Some(Box::new(KernelJournal {
-            alloc: self.alloc.clone(),
-            walker: self.walker,
-            tlb: self.tlb.clone(),
-            psc: self.psc.clone(),
-            processes: self.processes.clone(),
-            files: self.files.clone(),
-            owners: self.owners.clone(),
-            next_pid: self.next_pid,
-            next_file: self.next_file,
-            stats: self.stats,
-            secret: self.secret,
-        }));
+        self.journal = Some(Box::new(self.meta.clone()));
     }
 
     /// Rolls the kernel back to its [`Self::journal_begin`] state:
@@ -458,19 +428,9 @@ impl Kernel {
     ///
     /// Panics if no journal is active.
     pub fn journal_rollback(&mut self) {
-        let j = *self.journal.take().expect("journal_rollback without journal_begin");
+        let meta = *self.journal.take().expect("journal_rollback without journal_begin");
         self.dram.journal_rollback();
-        self.alloc = j.alloc;
-        self.walker = j.walker;
-        self.tlb = j.tlb;
-        self.psc = j.psc;
-        self.processes = j.processes;
-        self.files = j.files;
-        self.owners = j.owners;
-        self.next_pid = j.next_pid;
-        self.next_file = j.next_file;
-        self.stats = j.stats;
-        self.secret = j.secret;
+        self.meta = meta;
     }
 
     /// Whether an undo journal is currently active on this kernel.
@@ -480,32 +440,32 @@ impl Kernel {
 
     /// The zoned allocator.
     pub fn allocator(&self) -> &ZonedAllocator {
-        &self.alloc
+        &self.meta.alloc
     }
 
     /// Whether CTA is active.
     pub fn cta_enabled(&self) -> bool {
-        self.alloc.cta_enabled()
+        self.meta.alloc.cta_enabled()
     }
 
     /// The active `ZONE_PTP` layout, if CTA is on.
     pub fn ptp_layout(&self) -> Option<&PtpLayout> {
-        self.alloc.ptp_layout()
+        self.meta.alloc.ptp_layout()
     }
 
     /// Kernel counters.
     pub fn stats(&self) -> KernelStats {
-        self.stats
+        self.meta.stats
     }
 
     /// TLB counters.
     pub fn tlb_stats(&self) -> crate::tlb::TlbStats {
-        self.tlb.stats()
+        self.meta.tlb.stats()
     }
 
     /// Paging-structure-cache counters.
     pub fn psc_stats(&self) -> crate::psc::PscStats {
-        self.psc.stats()
+        self.meta.psc.stats()
     }
 
     /// Snapshots every stat source this machine owns into `c`: kernel
@@ -513,14 +473,14 @@ impl Kernel {
     /// global plus per-zone counters. Recording several kernels into the
     /// same registry aggregates them by addition.
     pub fn record_counters(&self, c: &mut cta_telemetry::Counters) {
-        c.record(&self.stats);
-        c.record(&self.tlb.stats());
-        c.record(&self.psc.stats());
+        c.record(&self.meta.stats);
+        c.record(&self.meta.tlb.stats());
+        c.record(&self.meta.psc.stats());
         c.record(self.dram.stats());
         // Materialized-row gauge: equal across store backends for the same
         // operation history, so backend choice never perturbs telemetry.
         c.add_u64("dram", "rows_materialized", self.dram.rows_materialized() as u64);
-        self.alloc.record_counters(c);
+        self.meta.alloc.record_counters(c);
         // Only defended machines carry a `defense` group, so undefended
         // snapshots stay byte-identical to pre-hook telemetry.
         if let Some(snapshot) = self.dram.defense_snapshot() {
@@ -542,8 +502,8 @@ impl Kernel {
     /// set (not added) at emission time, with non-finite values sanitized
     /// by [`cta_telemetry::Counters::set_f64`].
     pub fn record_rate_gauges(&self, c: &mut cta_telemetry::Counters) {
-        c.set_f64("tlb", "hit_rate", self.tlb.stats().hit_rate());
-        c.set_f64("psc", "hit_rate", self.psc.stats().hit_rate());
+        c.set_f64("tlb", "hit_rate", self.meta.tlb.stats().hit_rate());
+        c.set_f64("psc", "hit_rate", self.meta.psc.stats().hit_rate());
     }
 
     /// A process by pid.
@@ -552,24 +512,24 @@ impl Kernel {
     ///
     /// [`VmError::NoSuchProcess`] if it does not exist.
     pub fn process(&self, pid: Pid) -> Result<&Process, VmError> {
-        self.processes.get(&pid.0).ok_or(VmError::NoSuchProcess { pid })
+        self.meta.processes.get(&pid.0).ok_or(VmError::NoSuchProcess { pid })
     }
 
     /// All live pids.
     pub fn pids(&self) -> Vec<Pid> {
-        self.processes.keys().map(|p| Pid(*p)).collect()
+        self.meta.processes.keys().map(|p| Pid(*p)).collect()
     }
 
     /// Owner of a physical frame, if tracked.
     pub fn frame_owner(&self, pfn: Pfn) -> Option<FrameOwner> {
-        self.owners.get(&pfn.0).copied()
+        self.meta.owners.get(&pfn.0).copied()
     }
 
     /// The kernel secret planted at boot: its frame and its 16-byte
     /// content. An attacker that can read or overwrite this page through
     /// its own mappings has escalated privileges.
     pub fn kernel_secret(&self) -> (Pfn, [u8; 16]) {
-        self.secret.expect("planted at boot")
+        self.meta.secret.expect("planted at boot")
     }
 
     /// A file object by id.
@@ -578,7 +538,7 @@ impl Kernel {
     ///
     /// [`VmError::NoSuchFile`] if it does not exist.
     pub fn file(&self, id: FileId) -> Result<&FileObject, VmError> {
-        self.files.get(&id.0).ok_or(VmError::NoSuchFile)
+        self.meta.files.get(&id.0).ok_or(VmError::NoSuchFile)
     }
 
     // ------------------------------------------------------------------
@@ -592,9 +552,9 @@ impl Kernel {
     ///
     /// Allocation failure.
     pub fn create_process(&mut self, trusted: bool) -> Result<Pid, VmError> {
-        let pid = Pid(self.next_pid);
-        self.next_pid += 1;
-        self.processes.insert(
+        let pid = Pid(self.meta.next_pid);
+        self.meta.next_pid += 1;
+        self.meta.processes.insert(
             pid.0,
             Process {
                 pid,
@@ -606,7 +566,7 @@ impl Kernel {
             },
         );
         let cr3 = self.pte_alloc(pid, PtLevel::Pml4)?;
-        self.processes.get_mut(&pid.0).expect("just inserted").cr3 = cr3;
+        self.meta.processes.get_mut(&pid.0).expect("just inserted").cr3 = cr3;
         Ok(pid)
     }
 
@@ -617,15 +577,15 @@ impl Kernel {
     ///
     /// [`VmError::NoSuchProcess`]; allocator errors on inconsistent state.
     pub fn destroy_process(&mut self, pid: Pid) -> Result<(), VmError> {
-        let proc = self.processes.remove(&pid.0).ok_or(VmError::NoSuchProcess { pid })?;
+        let proc = self.meta.processes.remove(&pid.0).ok_or(VmError::NoSuchProcess { pid })?;
         for (va, kind) in &proc.mappings {
             match kind {
                 MappingKind::Anonymous { pfn } => {
-                    self.owners.remove(&pfn.0);
-                    self.alloc.free_pages(*pfn, 0)?;
+                    self.meta.owners.remove(&pfn.0);
+                    self.meta.alloc.free_pages(*pfn, 0)?;
                 }
                 MappingKind::File { id, .. } => {
-                    if let Some(f) = self.files.get_mut(&id.0) {
+                    if let Some(f) = self.meta.files.get_mut(&id.0) {
                         f.remove_mapping();
                     }
                 }
@@ -636,16 +596,16 @@ impl Kernel {
         }
         for block in proc.huge_mappings.values() {
             for f in 0..HUGE_PAGE_SIZE / PAGE_SIZE {
-                self.owners.remove(&(block.0 + f));
+                self.meta.owners.remove(&(block.0 + f));
             }
-            self.alloc.free_pages(*block, 9)?;
+            self.meta.alloc.free_pages(*block, 9)?;
         }
         for (pfn, _) in &proc.pt_pages {
-            self.owners.remove(&pfn.0);
-            self.alloc.free_pages(*pfn, 0)?;
+            self.meta.owners.remove(&pfn.0);
+            self.meta.alloc.free_pages(*pfn, 0)?;
         }
-        self.tlb.flush_pid(pid);
-        self.psc.flush_pid(pid);
+        self.meta.tlb.flush_pid(pid);
+        self.meta.psc.flush_pid(pid);
         Ok(())
     }
 
@@ -659,7 +619,7 @@ impl Kernel {
     /// Allocation failure ­— under CTA a full `ZONE_PTP` is a hard failure
     /// (Rule 1 forbids falling back to ordinary zones).
     pub fn pte_alloc(&mut self, pid: Pid, level: PtLevel) -> Result<Pfn, VmError> {
-        let gfp = if self.alloc.cta_enabled() {
+        let gfp = if self.meta.alloc.cta_enabled() {
             if self.multi_level {
                 GfpFlags::ptp_for_level(level)
             } else {
@@ -668,15 +628,16 @@ impl Kernel {
         } else {
             GfpFlags::KERNEL.zeroed()
         };
-        let pfn = self.alloc.alloc_page(gfp)?;
+        let pfn = self.meta.alloc.alloc_page(gfp)?;
         self.dram.fill(pfn.addr().0, PAGE_SIZE as usize, 0)?;
-        self.owners.insert(pfn.0, FrameOwner::PageTable { pid, level });
-        self.processes
+        self.meta.owners.insert(pfn.0, FrameOwner::PageTable { pid, level });
+        self.meta
+            .processes
             .get_mut(&pid.0)
             .ok_or(VmError::NoSuchProcess { pid })?
             .pt_pages
             .push((pfn, level));
-        self.stats.pt_pages_allocated += 1;
+        self.meta.stats.pt_pages_allocated += 1;
         // Page-table rows are the victims SoftTRR-style defenses watch:
         // register this frame's row(s) with any installed row defense.
         self.notify_defense_pt_frame(pfn);
@@ -702,8 +663,12 @@ impl Kernel {
     /// allocated, so installing after boot still protects existing tables.
     pub fn install_row_defense(&mut self, defense: Box<dyn cta_dram::RowDefense>) {
         self.dram.install_defense(defense);
-        let frames: Vec<Pfn> =
-            self.processes.values().flat_map(|p| p.pt_pages.iter().map(|(pfn, _)| *pfn)).collect();
+        let frames: Vec<Pfn> = self
+            .meta
+            .processes
+            .values()
+            .flat_map(|p| p.pt_pages.iter().map(|(pfn, _)| *pfn))
+            .collect();
         for pfn in frames {
             self.notify_defense_pt_frame(pfn);
         }
@@ -739,7 +704,7 @@ impl Kernel {
         let leaf_addr = table + va.index(PtLevel::Pt) * 8;
         self.dram.write_u64(leaf_addr, Pte::new(pfn, flags).0)?;
         self.invalidate_translation(pid, va);
-        self.stats.maps += 1;
+        self.meta.stats.maps += 1;
         Ok(())
     }
 
@@ -762,13 +727,14 @@ impl Kernel {
         for i in 0..pages {
             let page_va = va.offset(i * PAGE_SIZE);
             let gfp = if trusted { GfpFlags::KERNEL } else { GfpFlags::HIGHUSER };
-            let pfn = self.alloc.alloc_page(gfp)?;
+            let pfn = self.meta.alloc.alloc_page(gfp)?;
             self.dram.fill(pfn.addr().0, PAGE_SIZE as usize, 0)?;
-            self.owners.insert(pfn.0, FrameOwner::Anonymous { pid });
-            self.stats.user_pages_allocated += 1;
+            self.meta.owners.insert(pfn.0, FrameOwner::Anonymous { pid });
+            self.meta.stats.user_pages_allocated += 1;
             let flags = if writable { PteFlags::user_data() } else { PteFlags::user_readonly() };
             self.map_page(pid, page_va, pfn, flags)?;
-            self.processes
+            self.meta
+                .processes
                 .get_mut(&pid.0)
                 .expect("checked")
                 .mappings
@@ -802,17 +768,18 @@ impl Kernel {
         self.check_range(pid, va, len)?;
         for i in 0..len / HUGE_PAGE_SIZE {
             let chunk_va = va.offset(i * HUGE_PAGE_SIZE);
-            let block = self.alloc.alloc_pages(GfpFlags::HIGHUSER, 9)?;
+            let block = self.meta.alloc.alloc_pages(GfpFlags::HIGHUSER, 9)?;
             self.dram.fill(block.addr().0, HUGE_PAGE_SIZE as usize, 0)?;
             for f in 0..HUGE_PAGE_SIZE / PAGE_SIZE {
-                self.owners.insert(block.0 + f, FrameOwner::Anonymous { pid });
+                self.meta.owners.insert(block.0 + f, FrameOwner::Anonymous { pid });
             }
-            self.stats.user_pages_allocated += HUGE_PAGE_SIZE / PAGE_SIZE;
+            self.meta.stats.user_pages_allocated += HUGE_PAGE_SIZE / PAGE_SIZE;
             let mut flags =
                 if writable { PteFlags::user_data() } else { PteFlags::user_readonly() };
             flags.huge = true;
             self.map_huge_entry(pid, chunk_va, block, flags)?;
-            self.processes
+            self.meta
+                .processes
                 .get_mut(&pid.0)
                 .expect("checked")
                 .huge_mappings
@@ -846,7 +813,7 @@ impl Kernel {
         let pd_entry = table + va.index(PtLevel::Pd) * 8;
         self.dram.write_u64(pd_entry, Pte::new(block, flags).0)?;
         self.invalidate_translation(pid, va);
-        self.stats.maps += 1;
+        self.meta.stats.maps += 1;
         Ok(())
     }
 
@@ -864,6 +831,7 @@ impl Kernel {
         for i in 0..len / HUGE_PAGE_SIZE {
             let chunk_va = va.offset(i * HUGE_PAGE_SIZE);
             let block = self
+                .meta
                 .processes
                 .get_mut(&pid.0)
                 .ok_or(VmError::NoSuchProcess { pid })?
@@ -889,14 +857,14 @@ impl Kernel {
             // each caching its own vpn — invalidate every one of them, not
             // just the chunk base (one invlpg per covered page).
             for f in 0..HUGE_PAGE_SIZE / PAGE_SIZE {
-                self.tlb.flush_page(pid, chunk_va.offset(f * PAGE_SIZE));
+                self.meta.tlb.flush_page(pid, chunk_va.offset(f * PAGE_SIZE));
             }
-            self.psc.invalidate_page(pid, chunk_va);
-            self.stats.unmaps += 1;
+            self.meta.psc.invalidate_page(pid, chunk_va);
+            self.meta.stats.unmaps += 1;
             for f in 0..HUGE_PAGE_SIZE / PAGE_SIZE {
-                self.owners.remove(&(block.0 + f));
+                self.meta.owners.remove(&(block.0 + f));
             }
-            self.alloc.free_pages(block, 9)?;
+            self.meta.alloc.free_pages(block, 9)?;
         }
         Ok(())
     }
@@ -908,9 +876,9 @@ impl Kernel {
     ///
     /// Allocation failures.
     pub fn create_shared_kernel_page(&mut self) -> Result<Pfn, VmError> {
-        let pfn = self.alloc.alloc_page(GfpFlags::KERNEL)?;
+        let pfn = self.meta.alloc.alloc_page(GfpFlags::KERNEL)?;
         self.dram.fill(pfn.addr().0, PAGE_SIZE as usize, 0)?;
-        self.owners.insert(pfn.0, FrameOwner::Kernel);
+        self.meta.owners.insert(pfn.0, FrameOwner::Kernel);
         Ok(pfn)
     }
 
@@ -929,13 +897,14 @@ impl Kernel {
         pfn: Pfn,
         writable: bool,
     ) -> Result<(), VmError> {
-        if !matches!(self.owners.get(&pfn.0), Some(FrameOwner::Kernel)) {
+        if !matches!(self.meta.owners.get(&pfn.0), Some(FrameOwner::Kernel)) {
             return Err(VmError::NotMapped { va });
         }
         self.check_range(pid, va, PAGE_SIZE)?;
         let flags = if writable { PteFlags::user_data() } else { PteFlags::user_readonly() };
         self.map_page(pid, va, pfn, flags)?;
-        self.processes
+        self.meta
+            .processes
             .get_mut(&pid.0)
             .ok_or(VmError::NoSuchProcess { pid })?
             .mappings
@@ -952,16 +921,16 @@ impl Kernel {
         if len == 0 || !len.is_multiple_of(PAGE_SIZE) {
             return Err(VmError::Unaligned { value: len });
         }
-        let id = FileId(self.next_file);
-        self.next_file += 1;
+        let id = FileId(self.meta.next_file);
+        self.meta.next_file += 1;
         let mut frames = Vec::with_capacity((len / PAGE_SIZE) as usize);
         for _ in 0..len / PAGE_SIZE {
-            let pfn = self.alloc.alloc_page(GfpFlags::HIGHUSER)?;
+            let pfn = self.meta.alloc.alloc_page(GfpFlags::HIGHUSER)?;
             self.dram.fill(pfn.addr().0, PAGE_SIZE as usize, 0)?;
-            self.owners.insert(pfn.0, FrameOwner::File { id });
+            self.meta.owners.insert(pfn.0, FrameOwner::File { id });
             frames.push(pfn);
         }
-        self.files.insert(id.0, FileObject::new(id, frames));
+        self.meta.files.insert(id.0, FileObject::new(id, frames));
         Ok(id)
     }
 
@@ -979,19 +948,20 @@ impl Kernel {
         writable: bool,
     ) -> Result<(), VmError> {
         let frames: Vec<Pfn> =
-            self.files.get(&file.0).ok_or(VmError::NoSuchFile)?.frames().to_vec();
+            self.meta.files.get(&file.0).ok_or(VmError::NoSuchFile)?.frames().to_vec();
         self.check_range(pid, va, frames.len() as u64 * PAGE_SIZE)?;
         for (i, pfn) in frames.iter().enumerate() {
             let page_va = va.offset(i as u64 * PAGE_SIZE);
             let flags = if writable { PteFlags::user_data() } else { PteFlags::user_readonly() };
             self.map_page(pid, page_va, *pfn, flags)?;
-            self.processes
+            self.meta
+                .processes
                 .get_mut(&pid.0)
                 .expect("checked")
                 .mappings
                 .insert(page_va.0, MappingKind::File { id: file, page_index: i });
         }
-        self.files.get_mut(&file.0).expect("checked").add_mapping();
+        self.meta.files.get_mut(&file.0).expect("checked").add_mapping();
         Ok(())
     }
 
@@ -1043,6 +1013,7 @@ impl Kernel {
         for i in 0..len / PAGE_SIZE {
             let page_va = va.offset(i * PAGE_SIZE);
             let kind = self
+                .meta
                 .processes
                 .get_mut(&pid.0)
                 .ok_or(VmError::NoSuchProcess { pid })?
@@ -1055,14 +1026,14 @@ impl Kernel {
                 self.dram.write_u64(leaf_addr, Pte::EMPTY.0)?;
             }
             self.invalidate_translation(pid, page_va);
-            self.stats.unmaps += 1;
+            self.meta.stats.unmaps += 1;
             match kind {
                 MappingKind::Anonymous { pfn } => {
-                    self.owners.remove(&pfn.0);
-                    self.alloc.free_pages(pfn, 0)?;
+                    self.meta.owners.remove(&pfn.0);
+                    self.meta.alloc.free_pages(pfn, 0)?;
                 }
                 MappingKind::File { id, .. } => {
-                    if let Some(f) = self.files.get_mut(&id.0) {
+                    if let Some(f) = self.meta.files.get_mut(&id.0) {
                         f.remove_mapping();
                     }
                 }
@@ -1125,7 +1096,7 @@ impl Kernel {
     ///
     /// Translation faults; [`VmError::NoSuchProcess`].
     pub fn translate(&mut self, pid: Pid, va: VirtAddr, access: Access) -> Result<u64, VmError> {
-        if let Some(hit) = self.tlb.lookup(pid, va) {
+        if let Some(hit) = self.meta.tlb.lookup(pid, va) {
             let ok = (!access.write || hit.writable) && (!access.user || hit.user);
             if ok {
                 return Ok(hit.page_base + va.page_offset());
@@ -1145,28 +1116,28 @@ impl Kernel {
         va: VirtAddr,
         access: Access,
     ) -> Result<u64, VmError> {
-        let start = match self.psc.lookup(pid, va) {
+        let start = match self.meta.psc.lookup(pid, va) {
             Some((level, e)) => {
                 WalkStart { level, table: e.table, user: e.user, writable: e.writable }
             }
             None => WalkStart::root(cr3),
         };
-        let walk = self.walker.walk_phys(&mut self.dram, start, va, access)?;
-        self.stats.walks += 1;
+        let walk = self.meta.walker.walk_phys(&mut self.dram, start, va, access)?;
+        self.meta.stats.walks += 1;
         // Cache each non-leaf entry with the cumulative permission AND
         // folded down from the resume point, as hardware does.
         let (mut user, mut writable) = (start.user, start.writable);
         for (level, pte) in walk.intermediates.into_iter().flatten() {
             user &= pte.user();
             writable &= pte.writable();
-            self.psc.insert(
+            self.meta.psc.insert(
                 pid,
                 va,
                 level,
                 PscEntry { table: pte.pfn().0 * PAGE_SIZE, user, writable },
             );
         }
-        self.tlb.insert(
+        self.meta.tlb.insert(
             pid,
             va,
             TlbEntry {
@@ -1200,7 +1171,7 @@ impl Kernel {
         phys_out.reserve(vas.len());
         let cr3 = self.process(pid)?.cr3().addr().0;
         for &va in vas {
-            let phys = match self.tlb.lookup(pid, va) {
+            let phys = match self.meta.tlb.lookup(pid, va) {
                 Some(hit) if (!access.write || hit.writable) && (!access.user || hit.user) => {
                     hit.page_base + va.page_offset()
                 }
@@ -1233,7 +1204,7 @@ impl Kernel {
             let mut off = 0usize;
             while off < buf.len() {
                 let cur = va.offset(off as u64);
-                let phys = match self.tlb.lookup(pid, cur) {
+                let phys = match self.meta.tlb.lookup(pid, cur) {
                     Some(hit) if (!access.write || hit.writable) && (!access.user || hit.user) => {
                         hit.page_base + cur.page_offset()
                     }
@@ -1304,8 +1275,8 @@ impl Kernel {
     /// reload semantics, and what an attacker does between hammer reads:
     /// after this every translation re-walks live DRAM from the root.
     pub fn flush_tlb(&mut self) {
-        self.tlb.flush_all();
-        self.psc.flush_all();
+        self.meta.tlb.flush_all();
+        self.meta.psc.flush_all();
     }
 
     /// `invlpg` for one page: drops `va`'s TLB entry and every
@@ -1321,8 +1292,8 @@ impl Kernel {
     /// requires invalidating both the TLB entry and the paging-structure
     /// caches for the affected range.
     fn invalidate_translation(&mut self, pid: Pid, va: VirtAddr) {
-        self.tlb.flush_page(pid, va);
-        self.psc.invalidate_page(pid, va);
+        self.meta.tlb.flush_page(pid, va);
+        self.meta.psc.invalidate_page(pid, va);
     }
 
     /// The DRAM row backing `va` for `pid` — what repeated, cache-defeating
@@ -1366,7 +1337,7 @@ impl Kernel {
                         // anywhere), and following them would mislabel
                         // levels or loop.
                         let is_expected_child = matches!(
-                            self.owners.get(&pte.pfn().0),
+                            self.meta.owners.get(&pte.pfn().0),
                             Some(FrameOwner::PageTable { pid: p, level: l })
                                 if *p == pid && *l == child
                         );
@@ -1957,5 +1928,86 @@ mod tests {
         assert_eq!(batched.now_ns(), serial.now_ns());
         assert_eq!(batched.tlb_stats(), serial.tlb_stats());
         assert_eq!(batched.stats(), serial.stats());
+    }
+
+    /// Asserts that `a` and `b` agree on every [`KernelMeta`] plane and on
+    /// the DRAM contents, clock and counters. The destructuring is
+    /// exhaustive, so a plane added to `KernelMeta` fails to compile here
+    /// until it is compared.
+    fn assert_same_machine(a: &Kernel, b: &Kernel) {
+        let KernelMeta {
+            alloc,
+            walker,
+            tlb,
+            psc,
+            processes,
+            files,
+            owners,
+            next_pid,
+            next_file,
+            stats,
+            secret,
+        } = &a.meta;
+        let m = &b.meta;
+        assert_eq!(alloc, &m.alloc, "allocator free-lists");
+        assert_eq!(alloc.free_page_count(), m.alloc.free_page_count());
+        assert_eq!(format!("{walker:?}"), format!("{:?}", m.walker));
+        assert_eq!(format!("{tlb:?}"), format!("{:?}", m.tlb), "TLB array");
+        assert_eq!(format!("{psc:?}"), format!("{:?}", m.psc), "PSC array");
+        assert_eq!(format!("{processes:?}"), format!("{:?}", m.processes), "process table");
+        assert_eq!(files, &m.files, "file table");
+        assert_eq!(owners, &m.owners, "frame owners");
+        assert_eq!((next_pid, next_file), (&m.next_pid, &m.next_file));
+        assert_eq!(stats, &m.stats);
+        assert_eq!(secret, &m.secret);
+        assert_eq!(a.dram().stats(), b.dram().stats());
+        assert_eq!(a.now_ns(), b.now_ns());
+        assert_eq!(a.dram().rows_materialized(), b.dram().rows_materialized());
+        let len = a.dram().capacity_bytes() as usize;
+        assert!(a.dram().peek(0, len).unwrap() == b.dram().peek(0, len).unwrap(), "DRAM contents");
+    }
+
+    #[test]
+    fn journal_rollback_restores_every_kernel_plane() {
+        let mut k = cta_kernel();
+        let pid = k.create_process(false).unwrap();
+        let va = VirtAddr(0x4000_0000);
+        k.mmap_anonymous(pid, va, 8 * PAGE_SIZE, true).unwrap();
+        for p in 0..8 {
+            k.translate(pid, va.offset(p * PAGE_SIZE), Access::user_read()).unwrap();
+        }
+        let before = k.fork();
+
+        k.journal_begin();
+        k.mmap_anonymous(pid, va.offset(16 * PAGE_SIZE), 4 * PAGE_SIZE, true).unwrap();
+        k.munmap(pid, va, 2 * PAGE_SIZE).unwrap();
+        k.mprotect(pid, va.offset(2 * PAGE_SIZE), 2 * PAGE_SIZE, false).unwrap();
+        k.write_virt(pid, va.offset(4 * PAGE_SIZE), &[0xA5; 64], Access::user_write()).unwrap();
+        let child = k.create_process(false).unwrap();
+        let file = k.create_file(2 * PAGE_SIZE).unwrap();
+        k.mmap_file(child, va, file, false).unwrap();
+        k.destroy_process(child).unwrap();
+        k.dram_mut().fill(16 * 4096, 8 * 4096, 0xFF).unwrap();
+        for victim in 17..23 {
+            k.dram_mut().hammer_double_sided(RowId(victim)).unwrap();
+        }
+        assert!(k.dram().stats().total_flips() > 0, "the hammering flipped bits");
+        k.journal_rollback();
+
+        assert!(!k.journal_active());
+        assert_same_machine(&k, &before);
+        // The rolled-back machine also behaves like the fork: every page
+        // translates to the same frame, and the walks leave both machines
+        // in the same state.
+        let mut fork = before;
+        for p in 0..24 {
+            let page = va.offset(p * PAGE_SIZE);
+            assert_eq!(
+                k.translate(pid, page, Access::user_read()).ok(),
+                fork.translate(pid, page, Access::user_read()).ok(),
+                "translation of page {p}"
+            );
+        }
+        assert_same_machine(&k, &fork);
     }
 }

@@ -1,13 +1,12 @@
-//! Boot-once parent-kernel pools for fork-per-trial services.
+//! Boot-once parent-kernel pools for journaled trial services.
 //!
 //! Booting a kernel — building page tables, profiling true/anti-cells,
-//! compiling the vulnerability map — dominates a trial's cost, while
-//! [`Kernel::fork`] on the CoW backend is O(changed rows). A long-running
-//! campaign service therefore keeps *parent* kernels (one per distinct
-//! boot configuration) alive and hands out forks per trial — or, with
-//! [`KernelPool::run_journaled`], runs the trial **in place** on the
-//! parent under an undo journal and rolls it back, skipping the per-trial
-//! copy entirely.
+//! compiling the vulnerability map — dominates a trial's cost. A
+//! long-running campaign service therefore keeps *parent* kernels (one per
+//! distinct boot configuration) alive and, with
+//! [`KernelPool::run_journaled`], runs each trial **in place** on its
+//! parent under an undo journal and rolls it back, so no trial pays for a
+//! boot or a copy of the machine.
 //!
 //! [`KernelPool`] is that cache: an LRU map from an opaque configuration
 //! key to a booted parent, order-indexed (hash map plus a recency-stamped
@@ -18,19 +17,17 @@
 //! local context and parents never cross threads. The executor layer
 //! gives each worker its own pool; capacity and the per-parent
 //! model-cache byte budget bound a worker's resident memory at
-//! O(parents + in-flight forks).
+//! O(parents), plus one journal per running trial.
 //!
-//! Determinism: `fork()` of a freshly-booted kernel is bit-identical to a
-//! second boot from the same config (pinned by the backend differential
-//! suites), and a journaled trial's rollback restores the parent
-//! byte-identically (pinned by the isolation differential suites), so
-//! *how* a trial's kernel was served — pool hit, fresh boot, fork, or
-//! in-place journal — is invisible in its results.
+//! Determinism: a journaled trial's rollback restores the parent
+//! byte-identically (pinned by the kernel journal tests and the isolation
+//! differential suite), so whether a trial met a freshly booted parent or
+//! one that already served other trials is invisible in its results.
 //!
 //! A parent abandoned mid-journal (a trial body that panicked before its
 //! rollback) is repaired defensively: the pool rolls the open journal
-//! back before the parent is forked, served again, or evicted, so dirty
-//! trial state can never leak into a later trial.
+//! back before the parent is served again or evicted, so dirty trial
+//! state can never leak into a later trial.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
@@ -41,15 +38,11 @@ use crate::kernel::Kernel;
 /// Cumulative counters for one [`KernelPool`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Parents booted because no cached parent matched the key.
+    /// Parents booted because no cached parent matched the key. Every
+    /// trial is served by exactly one boot or one pool hit.
     pub boots: u64,
     /// Trials served from an already-resident parent.
-    pub fork_hits: u64,
-    /// Trials served in total (`boots + fork_hits`), whether by fork or
-    /// in-place journal.
-    pub forks: u64,
-    /// The subset of trials served in place under an undo journal.
-    pub journal_runs: u64,
+    pub pool_hits: u64,
     /// Parents evicted (LRU) to stay within capacity.
     pub evictions: u64,
 }
@@ -87,28 +80,11 @@ impl<K: Eq + Hash + Clone> KernelPool<K> {
         }
     }
 
-    /// Returns a fork of the parent for `key`, booting (and caching) the
-    /// parent via `boot` if it is not resident. The touched parent moves
-    /// to most-recently-used; a boot that overflows capacity evicts the
-    /// least-recently-used parent first.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the boot error; the pool is unchanged in that case.
-    pub fn fork_for<F>(&mut self, key: &K, boot: F) -> Result<Kernel, VmError>
-    where
-        F: FnOnce() -> Result<Kernel, VmError>,
-    {
-        self.ensure_resident(key, boot)?;
-        self.stats.forks += 1;
-        Ok(self.parents.get(key).expect("parent just ensured").kernel.fork())
-    }
-
     /// Runs `trial` **in place** on the parent for `key` under an undo
-    /// journal, rolling the parent back afterwards — the O(touched state)
-    /// alternative to [`Self::fork_for`]. The parent is booted via `boot`
-    /// if not resident and touched to most-recently-used exactly as a
-    /// fork would.
+    /// journal, rolling the parent back afterwards. The parent is booted
+    /// via `boot` (and cached) if not resident; the touched parent moves
+    /// to most-recently-used, and a boot that overflows capacity evicts
+    /// the least-recently-used parent first.
     ///
     /// # Errors
     ///
@@ -119,8 +95,6 @@ impl<K: Eq + Hash + Clone> KernelPool<K> {
         F: FnOnce(&mut Kernel) -> R,
     {
         self.ensure_resident(key, boot)?;
-        self.stats.forks += 1;
-        self.stats.journal_runs += 1;
         let kernel = &mut self.parents.get_mut(key).expect("parent just ensured").kernel;
         kernel.journal_begin();
         let out = trial(kernel);
@@ -143,7 +117,7 @@ impl<K: Eq + Hash + Clone> KernelPool<K> {
             parent.stamp = self.next_stamp;
             self.order.insert(self.next_stamp, key.clone());
             self.next_stamp += 1;
-            self.stats.fork_hits += 1;
+            self.stats.pool_hits += 1;
             return Ok(());
         }
         let kernel = boot()?;
@@ -228,28 +202,30 @@ mod tests {
         Kernel::new(KernelConfig::small_test())
     }
 
+    /// Serves one empty trial for `key`.
+    fn touch(pool: &mut KernelPool<u32>, key: u32) -> Result<(), VmError> {
+        pool.run_journaled(&key, boot, |_| ())
+    }
+
     #[test]
-    fn second_fork_hits_the_cached_parent() {
+    fn second_trial_hits_the_cached_parent() {
         let mut pool: KernelPool<u32> = KernelPool::new(2);
-        let first = pool.fork_for(&7, boot).expect("boot");
-        let second = pool.fork_for(&7, boot).expect("fork hit");
+        let first = pool.run_journaled(&7, boot, |k| k.dram().config().clone()).expect("boot");
+        let second = pool.run_journaled(&7, boot, |k| k.dram().config().clone()).expect("hit");
         let stats = pool.stats();
-        assert_eq!((stats.boots, stats.fork_hits, stats.forks), (1, 1, 2));
+        assert_eq!((stats.boots, stats.pool_hits), (1, 1));
         assert_eq!(pool.len(), 1);
-        // Hit and miss forks are the same machine.
-        assert_eq!(
-            first.dram().config().geometry.row_bytes(),
-            second.dram().config().geometry.row_bytes()
-        );
+        // Hit and miss trials see the same machine.
+        assert_eq!(first.geometry.row_bytes(), second.geometry.row_bytes());
     }
 
     #[test]
     fn lru_eviction_keeps_recently_used_parents() {
         let mut pool: KernelPool<u32> = KernelPool::new(2);
-        pool.fork_for(&1, boot).expect("boot 1");
-        pool.fork_for(&2, boot).expect("boot 2");
-        pool.fork_for(&1, boot).expect("hit 1"); // 1 is now MRU
-        pool.fork_for(&3, boot).expect("boot 3"); // evicts 2
+        touch(&mut pool, 1).expect("boot 1");
+        touch(&mut pool, 2).expect("boot 2");
+        touch(&mut pool, 1).expect("hit 1"); // 1 is now MRU
+        touch(&mut pool, 3).expect("boot 3"); // evicts 2
         assert!(pool.contains(&1) && pool.contains(&3) && !pool.contains(&2));
         assert_eq!(pool.stats().evictions, 1);
         assert_eq!(pool.len(), 2);
@@ -258,8 +234,8 @@ mod tests {
     #[test]
     fn failed_boot_leaves_pool_unchanged() {
         let mut pool: KernelPool<u32> = KernelPool::new(2);
-        pool.fork_for(&1, boot).expect("boot 1");
-        let err = pool.fork_for(&2, || Err(VmError::NoSuchFile));
+        touch(&mut pool, 1).expect("boot 1");
+        let err = pool.run_journaled(&2, || Err(VmError::NoSuchFile), |_| ());
         assert!(err.is_err());
         assert_eq!(pool.len(), 1);
         assert_eq!(pool.stats().boots, 1);
@@ -269,7 +245,7 @@ mod tests {
     fn shrinking_capacity_evicts_lru_first() {
         let mut pool: KernelPool<u32> = KernelPool::new(3);
         for key in 1..=3 {
-            pool.fork_for(&key, boot).expect("boot");
+            touch(&mut pool, key).expect("boot");
         }
         pool.set_capacity(1);
         assert_eq!(pool.len(), 1);
@@ -280,8 +256,8 @@ mod tests {
     #[test]
     fn clear_counts_evictions_and_empties() {
         let mut pool: KernelPool<u32> = KernelPool::new(4);
-        pool.fork_for(&1, boot).expect("boot");
-        pool.fork_for(&2, boot).expect("boot");
+        touch(&mut pool, 1).expect("boot");
+        touch(&mut pool, 2).expect("boot");
         pool.clear();
         assert_eq!(pool.model_cache_bytes(), 0);
         assert!(pool.is_empty());
@@ -291,8 +267,7 @@ mod tests {
     #[test]
     fn journaled_run_leaves_the_parent_clean_and_counts_a_hit() {
         let mut pool: KernelPool<u32> = KernelPool::new(2);
-        let reference = pool.fork_for(&1, boot).expect("boot");
-        let before = reference.dram().stats().clone();
+        let before = pool.run_journaled(&1, boot, |k| k.dram().stats().clone()).expect("boot");
         let flips = pool
             .run_journaled(&1, boot, |kernel| {
                 kernel.dram_mut().fill(0, 4096, 0xFF).expect("fill");
@@ -301,18 +276,17 @@ mod tests {
             })
             .expect("journaled trial");
         assert!(flips > 0, "the trial really ran");
-        // The parent rolled back: a fresh fork matches the pre-trial fork.
-        let after = pool.fork_for(&1, boot).expect("fork");
-        assert_eq!(after.dram().stats(), &before);
+        // The parent rolled back: the next trial sees the pre-trial stats.
+        let after = pool.run_journaled(&1, boot, |k| k.dram().stats().clone()).expect("hit");
+        assert_eq!(after, before);
         let stats = pool.stats();
-        assert_eq!((stats.boots, stats.fork_hits, stats.journal_runs), (1, 2, 1));
-        assert_eq!(stats.forks, stats.boots + stats.fork_hits);
+        assert_eq!((stats.boots, stats.pool_hits), (1, 2));
     }
 
     #[test]
     fn eviction_rolls_back_an_abandoned_journal() {
         let mut pool: KernelPool<u32> = KernelPool::new(2);
-        pool.fork_for(&1, boot).expect("boot 1");
+        touch(&mut pool, 1).expect("boot 1");
         // Simulate a trial that panicked mid-journal: the resident parent
         // is left with an open journal and dirty state.
         pool.parents.get_mut(&1).expect("resident").kernel.journal_begin();
@@ -328,8 +302,8 @@ mod tests {
         // Capacity pressure evicts the abandoned parent: the journal must
         // be rolled back before the drop (evicting a dirty parent would
         // otherwise be the one path where trial state escapes).
-        pool.fork_for(&2, boot).expect("boot 2");
-        pool.fork_for(&3, boot).expect("boot 3 evicts 1");
+        touch(&mut pool, 2).expect("boot 2");
+        touch(&mut pool, 3).expect("boot 3 evicts 1");
         assert!(!pool.contains(&1));
         assert_eq!(pool.stats().evictions, 1);
     }
@@ -337,8 +311,7 @@ mod tests {
     #[test]
     fn serving_a_parent_with_an_abandoned_journal_repairs_it_first() {
         let mut pool: KernelPool<u32> = KernelPool::new(2);
-        let clean = pool.fork_for(&1, boot).expect("boot");
-        let want = clean.dram().peek(0, 64).expect("peek");
+        let want = pool.run_journaled(&1, boot, |k| k.dram().peek(0, 64)).expect("boot");
         pool.parents.get_mut(&1).expect("resident").kernel.journal_begin();
         pool.parents
             .get_mut(&1)
@@ -348,10 +321,10 @@ mod tests {
             .fill(0, 64, 0xEE)
             .expect("dirty the parent");
 
-        // A fork served from the abandoned parent must see the clean
+        // A trial served from the abandoned parent must see the clean
         // (rolled-back) machine, not the dead trial's bytes.
-        let fork = pool.fork_for(&1, boot).expect("fork repairs");
-        assert_eq!(fork.dram().peek(0, 64).expect("peek"), want);
+        let seen = pool.run_journaled(&1, boot, |k| k.dram().peek(0, 64)).expect("repairs");
+        assert_eq!(seen.expect("peek"), want.expect("peek"));
         assert!(!pool.parents[&1].kernel.journal_active());
     }
 }

@@ -111,7 +111,7 @@ cargo run --release -q -p cta-bench --bin exp-matrix -- --quick > /dev/null
 
 echo "==> campaign executor smoke (cta evaluate)"
 # The persistent executor end to end through its CLI front-end: a small
-# multi-tenant queue served boot-once/fork-per-trial, streaming one
+# multi-tenant queue served boot-once/journal-per-trial, streaming one
 # executor event per campaign to telemetry/cta-events.jsonl. The stream
 # (and the cta-evaluate snapshot) is schema-checked by the json-check
 # gate below; the bench-baseline quick smoke above already recorded the
@@ -137,19 +137,11 @@ echo "==> golden recording replay (all backends x flip engines, scoped + executo
 # The checked-in campaign recordings must replay byte-identically — flip
 # transcripts, contents hashes, clocks, outcomes, telemetry — under every
 # store backend and flip engine, both through the scoped serial path and
-# through the campaign executor at 1 and 3 workers (scheduling must be
-# invisible in the bytes). After an *intentional* simulation change,
-# regenerate with `replay-check --record` and commit the diff.
+# through the campaign executor at 1 and 3 workers (scheduling and the
+# executor's journaled in-place trials must be invisible in the bytes).
+# After an *intentional* simulation change, regenerate with
+# `replay-check --record` and commit the diff.
 cargo run --release -q -p cta-bench --bin replay-check -- --executor
-
-echo "==> journal-isolation smoke (one golden under --isolation journal)"
-# The `--isolation` CLI dimension end to end: one golden fixture replayed
-# through the executor with trials journaled and rolled back in place on
-# the pooled parents instead of forked. The full grid above already
-# covers both modes; this gate additionally pins the flag-parsing path
-# that narrows the grid to the journal mode.
-cargo run --release -q -p cta-bench --bin replay-check -- \
-    --isolation journal fixtures/recordings/spray-small.recording.json
 
 echo "==> telemetry sanity: no NaN/inf, no sanitizer flags"
 # Word-boundary patterns: a substring match like `flip_info` or a
