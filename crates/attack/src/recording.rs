@@ -52,13 +52,14 @@ use crate::outcome::AttackOutcome;
 use crate::{SprayAttack, TemplatingAttack};
 
 /// Current on-disk format version (bumped on incompatible changes).
-/// Version 2 switched `contents_hash` from byte-at-a-time FNV-1a to the
-/// wordwise variant ([`fnv1a64_wordwise`]): the byte-serial multiply
-/// chain capped transcript hashing near 700 MB/s and dominated every
-/// trial's non-attack cost, which in turn capped the persistent
-/// executor's fork amortization. Version-1 fixtures must be regenerated
-/// (`replay-check --record`).
-pub const RECORDING_VERSION: u64 = 2;
+/// Version 2 switched `contents_hash` from byte-at-a-time FNV-1a to a
+/// wordwise FNV-1a over the whole module. Version 3 makes it the
+/// composable per-row digest of [`cta_dram::DramModule::contents_digest`]
+/// (a wrapping sum of [`cta_dram::row_digest`] terms), which an undo
+/// journal updates in O(touched rows) instead of re-hashing the module on
+/// every trial. Older fixtures must be regenerated (`replay-check
+/// --record`).
+pub const RECORDING_VERSION: u64 = 3;
 
 /// Counters label used for a recording's embedded telemetry snapshot;
 /// matches the `recording` schema declaration in [`cta_telemetry::schema`].
@@ -226,7 +227,8 @@ pub struct TrialRecord {
     pub outcome: AttackOutcome,
     /// Every disturbance flip the module recorded, in order.
     pub flips: Vec<FlipEvent>,
-    /// FNV-1a 64 hash of the module's full final contents.
+    /// The module's final [`cta_dram::DramModule::contents_digest`]: a
+    /// fingerprint of its full contents (format version 3).
     pub contents_hash: u64,
     /// The module's simulated clock at trial end, nanoseconds.
     pub end_ns: u64,
@@ -362,87 +364,6 @@ impl From<json::JsonError> for RecordingError {
     }
 }
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// FNV-1a 64-bit hash (dependency-free contents fingerprint).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// Wordwise FNV-1a 64: one xor-multiply round per little-endian `u64`
-/// word instead of per byte, with a trailing partial word (if any)
-/// folded byte-at-a-time. Eight times fewer sequential multiplies than
-/// [`fnv1a64`] — the difference between transcript hashing at ~700 MB/s
-/// and at multiple GB/s, which matters because every recorded trial
-/// fingerprints the module's entire final contents. This is the
-/// `contents_hash` function of recording format version 2.
-#[must_use]
-pub fn fnv1a64_wordwise(bytes: &[u8]) -> u64 {
-    let mut hasher = WordHasher::new();
-    hasher.update(bytes);
-    hasher.finish()
-}
-
-/// Streaming form of [`fnv1a64_wordwise`]: feed contents in arbitrary
-/// chunks (the trial body streams row by row, never materializing the
-/// whole module) and get the same hash as one call over the
-/// concatenation. Carries sub-word remainders across `update` calls so
-/// chunk boundaries are invisible.
-struct WordHasher {
-    hash: u64,
-    pending: [u8; 8],
-    npending: usize,
-}
-
-impl WordHasher {
-    fn new() -> Self {
-        WordHasher { hash: FNV_OFFSET, pending: [0; 8], npending: 0 }
-    }
-
-    fn round(&mut self, word: u64) {
-        self.hash ^= word;
-        self.hash = self.hash.wrapping_mul(FNV_PRIME);
-    }
-
-    fn update(&mut self, mut bytes: &[u8]) {
-        if self.npending > 0 {
-            let take = bytes.len().min(8 - self.npending);
-            self.pending[self.npending..self.npending + take].copy_from_slice(&bytes[..take]);
-            self.npending += take;
-            bytes = &bytes[take..];
-            if self.npending < 8 {
-                return;
-            }
-            self.round(u64::from_le_bytes(self.pending));
-            self.npending = 0;
-        }
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.round(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
-        }
-        let tail = words.remainder();
-        self.pending[..tail.len()].copy_from_slice(tail);
-        self.npending = tail.len();
-    }
-
-    fn finish(mut self) -> u64 {
-        // Trailing partial word: byte-at-a-time rounds, so inputs that
-        // differ only in a zero-padded tail still hash differently.
-        for i in 0..self.npending {
-            self.hash ^= u64::from(self.pending[i]);
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
-        self.hash
-    }
-}
-
 /// Runs one trial under `target` and captures its full observable record
 /// plus a telemetry shard. Counter capture happens *before* the flip log
 /// is drained (so the `flip_log_retained` gauge reflects the trial), and
@@ -472,21 +393,9 @@ pub(crate) fn run_trial_on(
     let mut shard = Counters::new(RECORDING_LABEL);
     kernel.record_counters(&mut shard);
     let end_ns = kernel.dram().now_ns();
-    // Stream the contents fingerprint row by row through one reused
-    // buffer: same bytes, same hash as one whole-capacity peek, without
-    // allocating (and memset-ing) a module-sized copy per trial.
-    let capacity = kernel.dram().capacity_bytes();
-    let row_bytes = kernel.dram().geometry().row_bytes();
-    let mut row = vec![0u8; row_bytes as usize];
-    let mut hasher = WordHasher::new();
-    let mut addr = 0u64;
-    while addr < capacity {
-        let take = row_bytes.min(capacity - addr) as usize;
-        kernel.dram().peek_into(addr, &mut row[..take]).map_err(VmError::Dram)?;
-        hasher.update(&row[..take]);
-        addr += take as u64;
-    }
-    let contents_hash = hasher.finish();
+    // O(rows the trial touched) under the executor's journal; a full
+    // recompute on a freshly booted kernel.
+    let contents_hash = kernel.dram_mut().contents_digest();
     let log = kernel.dram_mut().take_flip_log();
     let record = TrialRecord { seed, outcome, flips: log.events.clone(), contents_hash, end_ns };
     Ok((record, shard, log))
@@ -1065,14 +974,6 @@ fn get_str(doc: &JsonValue, key: &str, path: &str) -> Result<String, RecordingEr
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a 64 vectors.
-        assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171F73967E8);
-    }
 
     #[test]
     fn hex_round_trip() {

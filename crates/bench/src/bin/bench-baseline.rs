@@ -658,17 +658,45 @@ fn bench_service(quick: bool, metrics: &mut Vec<(String, f64)>, tel: &mut Counte
 /// while the narrow spray trial dirties only a handful of rows that the
 /// journal captures lazily. Fork-per-trial throughput stays recorded by
 /// the `campaign_fork_*` metrics.
+///
+/// The full run repeats the drain on a 128 MiB machine
+/// (`rollback_trials_per_sec_128mib`): the same trial on 8x the rows,
+/// the test that a trial costs O(rows it touches), not O(capacity).
 fn bench_rollback(quick: bool, metrics: &mut Vec<(String, f64)>) {
-    let trials = if quick { 12 } else { 24 };
+    // Warm trials take well under a millisecond, so the full run drains
+    // enough of them for the timed window to outlast scheduler noise.
+    let trials = if quick { 12 } else { 200 };
     let campaigns = if quick { 2 } else { 3 };
+    let (rate, mut ns) = rollback_drain(16 << 20, trials, campaigns);
+    ns.sort_unstable();
+    let pct = |p: usize| {
+        let rank = (ns.len() * p).div_ceil(100).max(1);
+        ns[rank.min(ns.len()) - 1] as f64 / 1e6
+    };
+    metrics.push(("rollback_trials".into(), (campaigns * trials) as f64));
+    metrics.push(("rollback_trials_per_sec".into(), rate));
+    metrics.push(("rollback_p50_trial_latency_ms".into(), pct(50)));
+    metrics.push(("rollback_p99_trial_latency_ms".into(), pct(99)));
+    if !quick {
+        let (rate_128, _) = rollback_drain(128 << 20, trials, campaigns);
+        metrics.push(("rollback_trials_per_sec_128mib".into(), rate_128));
+    }
+}
+
+/// Drains `campaigns` campaigns of `trials` identical spray trials on one
+/// pooled `memory_bytes` parent and returns the trial rate and the
+/// per-trial latencies, after asserting every trial equals the scoped
+/// path. An untimed one-trial campaign first boots the parent and pays
+/// its one full contents digest, so the clock covers warm trials only.
+fn rollback_drain(memory_bytes: u64, trials: usize, campaigns: usize) -> (f64, Vec<u64>) {
     let attack =
         SprayAttack { regions: 4, file_pages: 2, max_hammer_rows: 2, flush_per_probe: false };
     let spec = |seeds: Vec<u64>| {
         let mut spec = RecordingSpec::new(RecordedAttack::Spray(attack), seeds);
-        spec.memory_bytes = 16 << 20;
-        // Narrow 256-byte rows: 64k materialized rows, so whole-module
-        // costs are fully represented, while the journal's cost still
-        // tracks only the rows a trial dirties.
+        spec.memory_bytes = memory_bytes;
+        // Narrow 256-byte rows: 64k materialized rows per 16 MiB, so
+        // whole-module costs are fully represented, while the journal's
+        // cost still tracks only the rows a trial dirties.
         spec.row_bytes = 256;
         spec.protected = true;
         spec.profile_cells = true;
@@ -676,27 +704,28 @@ fn bench_rollback(quick: bool, metrics: &mut Vec<(String, f64)>) {
         spec
     };
     // Constant seed: the pool boots one parent and serves every trial
-    // from it, so the measured cost is the trial plus its rollback, not
-    // boot.
+    // from it, so the measured cost is the trial plus its rollback.
     const SEED: u64 = 11;
     let target = ReplayTarget { backend: StoreBackend::Sparse, ..ReplayTarget::default() };
+    let submit = |exec: &CampaignExecutor, seeds: Vec<u64>| {
+        let mut request = CampaignRequest::new("bench", spec(seeds));
+        request.target = target;
+        exec.submit(request).expect("campaign submits")
+    };
 
     // One worker: a serial drain where per-trial cost is the only
     // variable (bench_service already pins the multi-worker schedule).
     let exec = CampaignExecutor::new(ExecutorConfig { workers: 1, parents_per_worker: 2 });
+    let warm = submit(&exec, vec![SEED]).wait().expect("warm-up campaign completes");
     let start = Instant::now();
-    let tickets: Vec<_> = (0..campaigns)
-        .map(|_| {
-            let mut request = CampaignRequest::new("bench", spec(vec![SEED; trials]));
-            request.target = target;
-            exec.submit(request).expect("campaign submits")
-        })
-        .collect();
+    let tickets: Vec<_> = (0..campaigns).map(|_| submit(&exec, vec![SEED; trials])).collect();
     let outputs: Vec<_> =
         tickets.into_iter().map(|t| t.wait().expect("campaign completes")).collect();
     let rate = (campaigns * trials) as f64 / start.elapsed().as_secs_f64();
+    drop(exec);
 
     let oracle = record_campaign(&spec(vec![SEED])).expect("scoped path records");
+    assert_eq!(warm.trials, oracle.trials, "journaled trial must equal the scoped path");
     for output in &outputs {
         for record in &output.trials {
             assert_eq!(record, &oracle.trials[0], "journaled trial must equal the scoped path");
@@ -707,18 +736,8 @@ fn bench_rollback(quick: bool, metrics: &mut Vec<(String, f64)>) {
             "merged telemetry must be equal across identical campaigns"
         );
     }
-
-    let mut ns: Vec<u64> =
-        outputs.iter().flat_map(|o| o.trial_latencies_ns.iter().copied()).collect();
-    ns.sort_unstable();
-    let pct = |p: usize| {
-        let rank = (ns.len() * p).div_ceil(100).max(1);
-        ns[rank.min(ns.len()) - 1] as f64 / 1e6
-    };
-    metrics.push(("rollback_trials".into(), (campaigns * trials) as f64));
-    metrics.push(("rollback_trials_per_sec".into(), rate));
-    metrics.push(("rollback_p50_trial_latency_ms".into(), pct(50)));
-    metrics.push(("rollback_p99_trial_latency_ms".into(), pct(99)));
+    let ns = outputs.iter().flat_map(|o| o.trial_latencies_ns.iter().copied()).collect();
+    (rate, ns)
 }
 
 /// Warm-walk and batched-translation hot paths for the paging-structure

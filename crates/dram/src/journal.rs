@@ -2,36 +2,38 @@
 //!
 //! A journaled trial runs **in place** on a pooled parent module and is
 //! rolled back afterwards instead of running on a copy of the module. The
-//! journal has two planes:
+//! module has three mutable planes, and each journals and restores itself
+//! as a unit:
 //!
-//! - **Row pre-images** (the lazily-journaled plane): the first time a
-//!   trial dirties a backing row — a write, a charge touch, decay, or a
-//!   disturbance — the row's full pre-image (cell bytes + charge
-//!   timestamp) is captured, or a `None` marker if the row had never been
-//!   materialized. Rollback restores captured rows byte-for-byte and
-//!   [`crate::RowStore::unmaterialize`]s the `None`-marked ones. This
-//!   plane is O(touched rows): a trial that touches a few dozen rows of a
-//!   multi-megabyte machine journals a few dozen rows.
-//! - **The metadata snapshot** (the eagerly-journaled plane): the module's
-//!   whole `DramMeta` — model caches, remap table, clock/window state,
-//!   activation counters, open-row registers, statistics (including the
-//!   bounded flip log, so `take_flip_log` drains and capacity changes roll
-//!   back exactly), and the installed defense — is cloned at
-//!   `journal_begin` and put back at rollback. The model caches hold `Rc`
-//!   values, so their clone is O(cached entries) refcount bumps, never a
-//!   regeneration. The rest is **not** O(touched state): the activation
-//!   counters are one 24-byte entry per backing row, so every journal
-//!   copies O(total rows) of them — 1.5 MiB on a 16 MiB module with
-//!   256-byte rows (65,536 rows), the larger part of a begin plus
-//!   rollback there. Making this plane lazy is the ROADMAP item "Make a
-//!   trial cost O(what it touches)".
+//! - **Row pre-images**: the first time a trial dirties a backing row — a
+//!   write, a charge touch, decay, or a disturbance — the row's full
+//!   pre-image (cell bytes + charge timestamp) is captured, or a `None`
+//!   marker if the row had never been materialized. Rollback restores
+//!   captured rows byte-for-byte and [`crate::RowStore::unmaterialize`]s
+//!   the `None`-marked ones. O(touched rows).
+//! - **Activation counters** ([`UndoVec`]): one entry per backing row, but
+//!   its only mutators log `(index, old)` while a journal is open, and
+//!   rollback replays the log backwards. O(touched entries): a `set` costs
+//!   one log entry, a `fill` one per entry it changes.
+//! - **The metadata snapshot**: the module's whole `DramMeta` is cloned
+//!   at `journal_begin` and put back at rollback. It still clones the
+//!   model caches (their values are `Rc`s, so O(cached entries) refcount
+//!   bumps, never a regeneration), the remap table, one open-row register
+//!   per bank, the statistics including the retained flip-log events, and
+//!   the installed defense. None of these grows with module capacity.
+//!
+//! The same journal also keeps the contents digest O(touched rows): the
+//! digest is a sum of per-row terms ([`crate::digest`]), so inside a
+//! journal it is the snapshot's cached base plus, for each captured row,
+//! the row's current term minus its pre-image's term.
 //!
 //! The rollback invariant — pinned by the differential suites — is that a
 //! module after `journal_begin → trial → journal_rollback` is
-//! byte-identical (contents, charge plane, caches, stats, clock) to the
-//! module before `journal_begin`.
+//! byte-identical (contents, charge plane, activation counters, caches,
+//! stats, clock) to the module before `journal_begin`.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 
 use crate::module::DramMeta;
 use crate::store::RowStore;
@@ -67,5 +69,110 @@ impl DramJournal {
     /// Number of distinct rows captured so far (dirty-row footprint).
     pub(crate) fn dirty_rows(&self) -> usize {
         self.rows.len()
+    }
+}
+
+/// A fixed-length vector whose mutations can be undone: while a journal
+/// is open ([`Self::begin`]), [`Self::set`] and [`Self::fill`] — its only
+/// mutators — log each overwritten `(index, old)` pair, and
+/// [`Self::rollback`] replays the log backwards. Reads go through
+/// `Deref<Target = [T]>`.
+#[derive(Debug, Clone)]
+pub(crate) struct UndoVec<T: Copy + PartialEq> {
+    items: Vec<T>,
+    /// `Some` while a journal is open.
+    undo: Option<Vec<(usize, T)>>,
+}
+
+impl<T: Copy + PartialEq> UndoVec<T> {
+    /// `len` copies of `value`, with no journal open.
+    pub(crate) fn new(value: T, len: usize) -> Self {
+        UndoVec { items: vec![value; len], undo: None }
+    }
+
+    /// Writes `items[i] = value`, logging the old value if a journal is
+    /// open and the value changes.
+    #[inline]
+    pub(crate) fn set(&mut self, i: usize, value: T) {
+        let old = std::mem::replace(&mut self.items[i], value);
+        if let Some(undo) = &mut self.undo {
+            if old != value {
+                undo.push((i, old));
+            }
+        }
+    }
+
+    /// Sets every entry to `value`, logging each entry that changes.
+    pub(crate) fn fill(&mut self, value: T) {
+        match &mut self.undo {
+            Some(undo) => {
+                for (i, item) in self.items.iter_mut().enumerate() {
+                    if *item != value {
+                        undo.push((i, std::mem::replace(item, value)));
+                    }
+                }
+            }
+            None => self.items.fill(value),
+        }
+    }
+
+    /// Opens the journal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a journal is already open.
+    pub(crate) fn begin(&mut self) {
+        assert!(self.undo.is_none(), "UndoVec journal already open");
+        self.undo = Some(Vec::new());
+    }
+
+    /// Restores every entry to its value at [`Self::begin`] and closes the
+    /// journal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no journal is open.
+    pub(crate) fn rollback(&mut self) {
+        let undo = self.undo.take().expect("UndoVec rollback without begin");
+        for (i, old) in undo.into_iter().rev() {
+            self.items[i] = old;
+        }
+    }
+}
+
+impl<T: Copy + PartialEq> Deref for UndoVec<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rollback_restores_sets_and_fills_in_reverse() {
+        let mut v = UndoVec::new(0u32, 4);
+        v.set(1, 5);
+        v.begin();
+        v.set(1, 6);
+        v.set(2, 7);
+        v.fill(9);
+        v.set(1, 8);
+        assert_eq!(&v[..], &[9, 8, 9, 9]);
+        v.rollback();
+        assert_eq!(&v[..], &[0, 5, 0, 0]);
+    }
+
+    #[test]
+    fn unchanged_writes_log_nothing() {
+        let mut v = UndoVec::new(3u8, 3);
+        v.begin();
+        v.set(0, 3);
+        v.fill(3);
+        assert_eq!(v.undo.as_ref().map(Vec::len), Some(0));
+        v.rollback();
     }
 }

@@ -50,6 +50,7 @@ mod bounded;
 mod cells;
 mod config;
 pub mod defense;
+mod digest;
 mod ecc;
 mod error;
 mod geometry;
@@ -70,6 +71,7 @@ pub use defense::{
     DefenseSnapshot, DefenseStats, ObserverDefense, RowDefense, SoftTrrDefense, SoftTrrParams,
     Verdict,
 };
+pub use digest::row_digest;
 pub use ecc::{EccRegion, EccResult, EccScrubStats, Secded};
 pub use error::DramError;
 pub use geometry::{AddressMapping, BankCoord, DramGeometry, RowId};

@@ -5,9 +5,10 @@ use crate::bitplane::{load_word, store_word};
 use crate::cells::{CellLayout, CellType, CellTypeMap};
 use crate::config::{DramConfig, FlipEngine};
 use crate::defense::{ActivationCtx, DefenseSnapshot, DefenseStats, RowDefense, Verdict};
+use crate::digest::row_digest;
 use crate::error::DramError;
 use crate::geometry::{DramGeometry, RowId};
-use crate::journal::DramJournal;
+use crate::journal::{DramJournal, UndoVec};
 use crate::remap::RemapTable;
 use crate::retention::{get_bit, set_bit, RetentionModel};
 use crate::stats::{DramStats, FlipEvent, FlipLog};
@@ -99,6 +100,10 @@ pub struct DramModule {
     /// Row storage ([`StoreBackend`]-selected), indexed by backing-row id;
     /// unmaterialized rows have never been written (all cells at logic `0`).
     store: AnyRowStore,
+    /// Activation counts per backing row: `(generation, window_id, count)`,
+    /// [`NO_ACTIVATIONS`] when the row was never activated. An undo-logged
+    /// plane, so a journal costs O(entries the trial changes).
+    activations: UndoVec<(u64, u64, u64)>,
     /// Every other mutable plane. Fork, journal and rollback each handle it
     /// as one value, so a field added here is isolated automatically.
     meta: DramMeta,
@@ -108,8 +113,8 @@ pub struct DramModule {
 }
 
 /// The module's non-row state: model caches, remap table, clock and
-/// refresh machinery, activation counters, open-row registers, statistics
-/// and the installed defense.
+/// refresh machinery, open-row registers, statistics, the installed
+/// defense and the cached contents digest.
 #[derive(Clone)]
 pub(crate) struct DramMeta {
     vuln: VulnerabilityModel,
@@ -131,9 +136,6 @@ pub(crate) struct DramMeta {
     /// Incremented on every refresh enable/disable toggle and power cycle so
     /// stale activation windows can be detected lazily.
     generation: u64,
-    /// Activation counts per backing row: `(generation, window_id, count)`,
-    /// [`NO_ACTIVATIONS`] when the row was never activated.
-    activations: Vec<(u64, u64, u64)>,
     /// Open row per bank ([`ROW_NONE`] = closed) for row-buffer-hit modeling
     /// of ordinary accesses.
     open_rows: Vec<u64>,
@@ -144,6 +146,10 @@ pub(crate) struct DramMeta {
     /// Intervention accounting for the installed defense, separate from
     /// [`DramStats`] so undefended telemetry is unchanged.
     defense_stats: DefenseStats,
+    /// Cached [`DramModule::contents_digest`] of the contents outside any
+    /// journal; `None` until computed and after any un-journaled row
+    /// mutation or remap. A journal's snapshot holds its parent's base.
+    contents_base: Option<u64>,
 }
 
 impl std::fmt::Debug for DramModule {
@@ -178,6 +184,7 @@ impl DramModule {
         let row_bytes = config.geometry.row_bytes() as usize;
         DramModule {
             store: AnyRowStore::new(config.backend, total_rows, row_bytes),
+            activations: UndoVec::new(NO_ACTIVATIONS, total_rows),
             meta: DramMeta {
                 vuln,
                 retention,
@@ -187,11 +194,11 @@ impl DramModule {
                 window_end_ns: config.refresh_interval_ns,
                 refresh_disabled_at: None,
                 generation: 0,
-                activations: vec![NO_ACTIVATIONS; total_rows],
                 open_rows: vec![ROW_NONE; banks],
                 stats: DramStats::default(),
                 defense: None,
                 defense_stats: DefenseStats::default(),
+                contents_base: None,
             },
             journal: None,
             config,
@@ -209,6 +216,7 @@ impl DramModule {
         DramModule {
             config: self.config.clone(),
             store: self.store.clone(),
+            activations: self.activations.clone(),
             meta: self.meta.clone(),
             journal: None,
         }
@@ -219,11 +227,12 @@ impl DramModule {
     // ------------------------------------------------------------------
 
     /// Starts an undo journal: snapshots the module's metadata planes
-    /// (model caches, remap, clock/window state, activation counters,
-    /// stats including the flip log, defense) and begins capturing row
-    /// pre-images on first touch. Until [`Self::journal_rollback`], the
-    /// module may be mutated freely in place; rollback restores it
-    /// byte-identically. See the `journal` module for the cost model.
+    /// (model caches, remap, clock/window state, stats including the flip
+    /// log, defense), opens the activation counters' undo log, and begins
+    /// capturing row pre-images on first touch. Until
+    /// [`Self::journal_rollback`], the module may be mutated freely in
+    /// place; rollback restores it byte-identically. See the `journal`
+    /// module for the cost model.
     ///
     /// # Panics
     ///
@@ -232,12 +241,15 @@ impl DramModule {
         assert!(self.journal.is_none(), "DRAM journal already active");
         self.journal =
             Some(Box::new(DramJournal { rows: HashMap::new(), meta: self.meta.clone() }));
+        self.activations.begin();
     }
 
     /// Rolls the module back to its [`Self::journal_begin`] state: every
     /// captured row pre-image is restored (rows that were unmaterialized
-    /// are unmaterialized again), and all snapshotted metadata planes are
-    /// reinstated. O(touched rows) plus the metadata restore.
+    /// are unmaterialized again), the activation log is undone, and the
+    /// metadata snapshot is reinstated — including the contents digest
+    /// base a journaled [`Self::contents_digest`] stored there. O(touched
+    /// rows and activation entries) plus the metadata restore.
     ///
     /// # Panics
     ///
@@ -254,6 +266,7 @@ impl DramModule {
                 None => self.store.unmaterialize(row),
             }
         }
+        self.activations.rollback();
         self.meta = j.meta;
     }
 
@@ -268,13 +281,69 @@ impl DramModule {
         self.journal.as_ref().map_or(0, |j| j.dirty_rows())
     }
 
-    /// Captures `backing`'s pre-image if a journal is active. Must run
-    /// *before* any mutation of the row's bytes or charge timestamp.
+    /// Captures `backing`'s pre-image if a journal is active, and
+    /// otherwise drops the cached contents digest. Must run *before* any
+    /// mutation of the row's bytes or charge timestamp.
     #[inline]
     fn journal_capture(&mut self, backing: RowId) {
-        if let Some(j) = self.journal.as_deref_mut() {
-            j.capture_row(backing.0, &self.store);
+        match self.journal.as_deref_mut() {
+            Some(j) => j.capture_row(backing.0, &self.store),
+            None => self.meta.contents_base = None,
         }
+    }
+
+    /// The contents digest of recording format v3: the wrapping sum over
+    /// logical rows `l` of [`crate::row_digest`]`(l, bytes of l)`, with a
+    /// never-written row hashing as a row of zeros (what
+    /// [`Self::peek`] reads).
+    ///
+    /// Outside a journal the digest is cached until the next row mutation
+    /// or remap. Inside one it costs O(captured rows): the base digest at
+    /// `journal_begin` plus, per captured row, its current term minus its
+    /// pre-image's term. The first journaled call on a parent without a
+    /// cached base recomputes the whole module once and stores the base
+    /// it derives in the journal's snapshot, so rollback hands it to the
+    /// next trial. A remap made inside the journal falls back to a full
+    /// recompute.
+    pub fn contents_digest(&mut self) -> u64 {
+        let Some(j) = self.journal.as_deref() else {
+            let digest = self.meta.contents_base.unwrap_or_else(|| self.full_digest());
+            self.meta.contents_base = Some(digest);
+            return digest;
+        };
+        if self.meta.remap != j.meta.remap {
+            return self.full_digest();
+        }
+        let zeros = vec![0u8; self.config.geometry.row_bytes() as usize];
+        let mut delta = 0u64;
+        for (&backing, pre) in &j.rows {
+            let logical = self.meta.remap.resolve(RowId(backing)).0;
+            let now = self.store.bytes(backing).unwrap_or(&zeros);
+            let then = pre.as_ref().map_or(&zeros[..], |(bytes, _)| bytes);
+            delta = delta
+                .wrapping_add(row_digest(logical, now))
+                .wrapping_sub(row_digest(logical, then));
+        }
+        let base = match j.meta.contents_base {
+            Some(base) => base,
+            None => {
+                let base = self.full_digest().wrapping_sub(delta);
+                self.journal.as_deref_mut().expect("journal is open").meta.contents_base =
+                    Some(base);
+                base
+            }
+        };
+        base.wrapping_add(delta)
+    }
+
+    /// [`Self::contents_digest`] from scratch: every backing row `b`
+    /// contributes at logical row `resolve(b)` (a remap is a swap).
+    fn full_digest(&self) -> u64 {
+        let zeros = vec![0u8; self.config.geometry.row_bytes() as usize];
+        (0..self.config.geometry.total_rows()).fold(0u64, |sum, backing| {
+            let logical = self.meta.remap.resolve(RowId(backing)).0;
+            sum.wrapping_add(row_digest(logical, self.store.bytes(backing).unwrap_or(&zeros)))
+        })
     }
 
     /// The row-store backend this module runs on.
@@ -444,8 +513,10 @@ impl DramModule {
             }
         }
         self.meta.remap.remap(faulty, spare, self.config.layout)?;
-        // Either side of the new swap may be the cached resolution.
+        // Either side of the new swap may be the cached resolution, and
+        // the swapped rows' contents move to other logical rows.
         self.meta.row_cache.set((ROW_NONE, ROW_NONE));
+        self.meta.contents_base = None;
         Ok(())
     }
 
@@ -686,7 +757,7 @@ impl DramModule {
         // After power-up, refresh resumes: whatever survived is recharged.
         self.store.recharge_all(self.meta.clock_ns);
         self.meta.open_rows.fill(ROW_NONE);
-        self.meta.activations.fill(NO_ACTIVATIONS);
+        self.activations.fill(NO_ACTIVATIONS);
         self.meta.generation += 1;
         self.meta.refresh_disabled_at = None;
         self.reset_window_end();
@@ -779,7 +850,7 @@ impl DramModule {
             return 0;
         }
         let backing = self.resolve_row(row);
-        let (gen, win, count) = self.meta.activations[backing.0 as usize];
+        let (gen, win, count) = self.activations[backing.0 as usize];
         if (gen, win) == self.current_window_key() {
             count
         } else {
@@ -792,7 +863,6 @@ impl DramModule {
     pub fn hottest_rows(&self, n: usize) -> Vec<(RowId, u64)> {
         let key = self.current_window_key();
         let mut rows: Vec<(RowId, u64)> = self
-            .meta
             .activations
             .iter()
             .enumerate()
@@ -820,7 +890,7 @@ impl DramModule {
             self.journal_capture(victim);
             self.store.touch(victim.0, self.meta.clock_ns);
         }
-        self.meta.activations[backing.0 as usize] = NO_ACTIVATIONS;
+        self.activations.set(backing.0 as usize, NO_ACTIVATIONS);
         Ok(())
     }
 
@@ -993,10 +1063,10 @@ impl DramModule {
     fn apply_activations(&mut self, backing: RowId, count: u64) {
         let threshold = self.config.disturbance.hammer_threshold;
         let key = self.current_window_key();
-        let (gen, win, have) = self.meta.activations[backing.0 as usize];
+        let (gen, win, have) = self.activations[backing.0 as usize];
         let before = if (gen, win) == key { have } else { 0 };
         let after = before + count;
-        self.meta.activations[backing.0 as usize] = (key.0, key.1, after);
+        self.activations.set(backing.0 as usize, (key.0, key.1, after));
         if before < threshold && after >= threshold {
             let _ = self.disturb_neighbors(backing);
         }
@@ -1015,7 +1085,7 @@ impl DramModule {
         let mut stalled_rounds = 0u32;
         while remaining > 0 {
             let key = self.current_window_key();
-            let (gen, win, have) = self.meta.activations[backing.0 as usize];
+            let (gen, win, have) = self.activations[backing.0 as usize];
             let before = if (gen, win) == key { have } else { 0 };
             let ctx = ActivationCtx {
                 row: backing,
@@ -1080,7 +1150,7 @@ impl DramModule {
                 self.store.touch(victim.0, self.meta.clock_ns);
             }
         }
-        self.meta.activations[backing.0 as usize] = NO_ACTIVATIONS;
+        self.activations.set(backing.0 as usize, NO_ACTIVATIONS);
         self.meta.defense_stats.targeted_refreshes += 1;
     }
 

@@ -134,6 +134,8 @@ impl RowBuf {
 #[derive(Debug, Clone)]
 pub struct SparseStore {
     rows: Vec<Option<RowBuf>>,
+    /// Number of `Some` slots, kept so the gauge is O(1).
+    materialized: usize,
     row_bytes: usize,
 }
 
@@ -141,7 +143,7 @@ impl SparseStore {
     /// Creates a store of `total_rows` rows of `row_bytes` each, all
     /// unmaterialized.
     pub fn new(total_rows: usize, row_bytes: usize) -> Self {
-        SparseStore { rows: (0..total_rows).map(|_| None).collect(), row_bytes }
+        SparseStore { rows: (0..total_rows).map(|_| None).collect(), materialized: 0, row_bytes }
     }
 }
 
@@ -151,8 +153,11 @@ impl RowStore for SparseStore {
     }
 
     fn materialize(&mut self, row: u64, now_ns: u64) -> RowMut<'_> {
-        let row_bytes = self.row_bytes;
-        let buf = self.rows[row as usize].get_or_insert_with(|| RowBuf::zeroed(row_bytes, now_ns));
+        let slot = &mut self.rows[row as usize];
+        if slot.is_none() {
+            self.materialized += 1;
+        }
+        let buf = slot.get_or_insert_with(|| RowBuf::zeroed(self.row_bytes, now_ns));
         RowMut { bytes: &mut buf.bytes, last_charge_ns: &mut buf.last_charge_ns }
     }
 
@@ -177,11 +182,13 @@ impl RowStore for SparseStore {
     }
 
     fn materialized_count(&self) -> usize {
-        self.rows.iter().filter(|r| r.is_some()).count()
+        self.materialized
     }
 
     fn unmaterialize(&mut self, row: u64) {
-        self.rows[row as usize] = None;
+        if self.rows[row as usize].take().is_some() {
+            self.materialized -= 1;
+        }
     }
 }
 
@@ -287,6 +294,8 @@ impl RowStore for DenseStore {
 #[derive(Debug, Clone)]
 pub struct CowStore {
     rows: Vec<Option<Arc<RowBuf>>>,
+    /// Number of `Some` slots, kept so the gauge is O(1).
+    materialized: usize,
     row_bytes: usize,
 }
 
@@ -294,7 +303,7 @@ impl CowStore {
     /// Creates a store of `total_rows` rows of `row_bytes` each, all
     /// unmaterialized.
     pub fn new(total_rows: usize, row_bytes: usize) -> Self {
-        CowStore { rows: (0..total_rows).map(|_| None).collect(), row_bytes }
+        CowStore { rows: (0..total_rows).map(|_| None).collect(), materialized: 0, row_bytes }
     }
 
     /// Number of materialized rows whose buffer is currently shared with at
@@ -311,9 +320,11 @@ impl RowStore for CowStore {
     }
 
     fn materialize(&mut self, row: u64, now_ns: u64) -> RowMut<'_> {
-        let row_bytes = self.row_bytes;
-        let arc = self.rows[row as usize]
-            .get_or_insert_with(|| Arc::new(RowBuf::zeroed(row_bytes, now_ns)));
+        let slot = &mut self.rows[row as usize];
+        if slot.is_none() {
+            self.materialized += 1;
+        }
+        let arc = slot.get_or_insert_with(|| Arc::new(RowBuf::zeroed(self.row_bytes, now_ns)));
         let buf = Arc::make_mut(arc);
         RowMut { bytes: &mut buf.bytes, last_charge_ns: &mut buf.last_charge_ns }
     }
@@ -345,11 +356,13 @@ impl RowStore for CowStore {
     }
 
     fn materialized_count(&self) -> usize {
-        self.rows.iter().filter(|r| r.is_some()).count()
+        self.materialized
     }
 
     fn unmaterialize(&mut self, row: u64) {
-        self.rows[row as usize] = None;
+        if self.rows[row as usize].take().is_some() {
+            self.materialized -= 1;
+        }
     }
 }
 

@@ -9,14 +9,18 @@
 //! capacity changes, power-off remanence — against a reference fork taken
 //! before the journal opened, then compares:
 //!
-//! * the full contents fingerprint (FNV-1a over every byte),
-//! * the simulated clock, statistics, remap table, and materialization
-//!   footprint,
+//! * the full contents digest, recomputed here from `peek_into` rows,
+//! * the simulated clock, statistics, remap table, materialization
+//!   footprint, and every row's activation counter,
 //! * and, to expose charge-plane divergence that identical contents could
 //!   mask, the contents again after an identical decay probe (refresh
 //!   off, clock past the retention horizon) applied to both modules.
+//!
+//! The module's own [`DramModule::contents_digest`] is cached and, inside
+//! a journal, updated incrementally; every test here checks it against
+//! the from-scratch oracle, never against another cached value.
 
-use cta_dram::{DisturbanceParams, DramConfig, DramModule, RowId};
+use cta_dram::{row_digest, DisturbanceParams, DramConfig, DramModule, RowId, StoreBackend};
 use proptest::prelude::*;
 
 /// One randomized mutation. Parameters are raw and clamped at apply time
@@ -113,36 +117,38 @@ fn apply(m: &mut DramModule, op: &Op) {
     }
 }
 
-/// FNV-1a 64 over the module's full contents via the non-mutating peek.
-fn contents_hash(m: &DramModule) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let capacity = m.capacity_bytes();
+/// The contents digest from its definition: the wrapping sum of
+/// [`row_digest`] over every logical row, read through the non-mutating
+/// peek (so never-written rows read as zeros).
+fn oracle_digest(m: &DramModule) -> u64 {
     let row_bytes = m.geometry().row_bytes();
     let mut buf = vec![0u8; row_bytes as usize];
-    let mut hash = FNV_OFFSET;
-    let mut addr = 0u64;
-    while addr < capacity {
-        let take = row_bytes.min(capacity - addr) as usize;
-        m.peek_into(addr, &mut buf[..take]).expect("in-bounds peek");
-        for &b in &buf[..take] {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        addr += take as u64;
-    }
-    hash
+    (0..m.geometry().total_rows()).fold(0u64, |sum, row| {
+        m.peek_into(row * row_bytes, &mut buf).expect("in-bounds peek");
+        sum.wrapping_add(row_digest(row, &buf))
+    })
 }
 
 /// Everything cheaply observable about a module, as one comparable blob.
-fn observe(m: &DramModule) -> (u64, u64, String, usize, usize) {
+fn observe(m: &DramModule) -> (u64, u64, String, usize, usize, Vec<u64>) {
     (
-        contents_hash(m),
+        oracle_digest(m),
         m.now_ns(),
         format!("{:?}|{:?}", m.stats(), m.remap_table()),
         m.rows_materialized(),
         m.remap_table().len(),
+        (0..m.geometry().total_rows()).map(|r| m.window_activations(RowId(r))).collect(),
     )
+}
+
+/// A small module on the backend `seed` picks, with a denser disturbance
+/// map than the default so short op sequences flip bits.
+fn fuzz_module(seed: u64) -> DramModule {
+    let mut cfg = DramConfig::small_test()
+        .with_seed(seed)
+        .with_disturbance(DisturbanceParams { pf: 0.05, ..DisturbanceParams::default() });
+    cfg.backend = StoreBackend::ALL[(seed % 3) as usize];
+    DramModule::new(cfg)
 }
 
 proptest! {
@@ -156,10 +162,7 @@ proptest! {
         seed in any::<u64>(),
         ops in proptest::collection::vec(op_strategy(), 1..40),
     ) {
-        let cfg = DramConfig::small_test()
-            .with_seed(seed)
-            .with_disturbance(DisturbanceParams { pf: 0.05, ..DisturbanceParams::default() });
-        let mut m = DramModule::new(cfg);
+        let mut m = fuzz_module(seed);
         // Pre-trial state with some materialized rows and history, so
         // rollback must restore *dirty* pre-images, not just blanks.
         m.fill(0, 4096, 0x5A).expect("prefill");
@@ -167,13 +170,29 @@ proptest! {
         let reference = m.fork();
         let before = observe(&m);
 
-        m.journal_begin();
-        for op in &ops {
-            apply(&mut m, op);
-        }
-        m.journal_rollback();
+        // Round 0 derives the digest base inside its journal; round 1
+        // starts from the base round 0's rollback left in the snapshot.
+        for round in 0..2 {
+            m.journal_begin();
+            for op in &ops {
+                apply(&mut m, op);
+                prop_assert_eq!(
+                    m.contents_digest(),
+                    oracle_digest(&m),
+                    "journaled digest after {:?} (round {})",
+                    op,
+                    round
+                );
+            }
+            m.journal_rollback();
 
-        prop_assert_eq!(observe(&m), before, "rollback must restore the pre-trial observation");
+            prop_assert_eq!(
+                observe(&m),
+                before.clone(),
+                "rollback must restore the pre-trial observation"
+            );
+            prop_assert_eq!(m.contents_digest(), before.0, "rolled-back digest (round {})", round);
+        }
 
         // Decay probe: identical futures prove the charge plane (which
         // identical contents alone could mask) was restored too. Reads —
@@ -199,5 +218,65 @@ proptest! {
         let actual = probe(&mut m);
         prop_assert_eq!(actual.0, expected.0, "decay probe contents diverged");
         prop_assert_eq!(actual.1, expected.1, "decay probe stats diverged");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Un-journaled mutations — writes, fills, hammering, power cycles,
+    // remaps and the rest — interleaved with digest calls and with
+    // journaled trials: every mutation outside a journal must drop the
+    // cached digest, including a base a rolled-back journal left behind.
+    #[test]
+    fn cached_digest_tracks_unjournaled_mutations(
+        seed in any::<u64>(),
+        ops in proptest::collection::vec((op_strategy(), any::<bool>()), 1..40),
+    ) {
+        let mut m = fuzz_module(seed);
+        for (op, journaled) in &ops {
+            if *journaled {
+                let want = oracle_digest(&m);
+                m.journal_begin();
+                apply(&mut m, op);
+                prop_assert_eq!(m.contents_digest(), oracle_digest(&m), "inside {:?}", op);
+                m.journal_rollback();
+                prop_assert_eq!(m.contents_digest(), want, "after rolling back {:?}", op);
+            } else {
+                apply(&mut m, op);
+                prop_assert_eq!(m.contents_digest(), oracle_digest(&m), "after {:?}", op);
+            }
+        }
+    }
+}
+
+/// A named un-journaled mutation.
+type Mutation = (&'static str, fn(&mut DramModule));
+
+/// The named mutation classes, one after another on a cached digest.
+#[test]
+fn cached_digest_is_dropped_by_each_mutation_class() {
+    let mut m = fuzz_module(0);
+    let row_bytes = m.geometry().row_bytes();
+    let mutations: [Mutation; 5] = [
+        ("write", |m| m.write(4096 + 7, &[0xA5; 9]).expect("write")),
+        ("fill", |m| m.fill(2 * 4096, 4096, 0xFF).expect("fill")),
+        ("hammer", |m| m.hammer_double_sided(RowId(2)).expect("hammer")),
+        ("remap_row", |m| m.remap_row(RowId(1), RowId(2)).expect("remap")),
+        ("power_off", |m| m.power_off(m.config().retention.max_ns + 1)),
+    ];
+    m.fill(0, 3 * row_bytes as usize, 0x3C).expect("prefill");
+    for (name, mutate) in mutations {
+        // Warm the cache inside and outside a journal, then mutate.
+        m.journal_begin();
+        m.write(5 * row_bytes, &[1]).expect("journaled write");
+        assert_eq!(m.contents_digest(), oracle_digest(&m), "journaled, before {name}");
+        m.journal_rollback();
+        let before = m.contents_digest();
+        assert_eq!(before, oracle_digest(&m), "cached, before {name}");
+        mutate(&mut m);
+        let after = oracle_digest(&m);
+        assert_ne!(after, before, "{name} must change the contents");
+        assert_eq!(m.contents_digest(), after, "stale digest after {name}");
     }
 }

@@ -82,7 +82,8 @@ drift_watch() {
 if [ -n "$PREV_CHECK" ] && [ -n "$NEW_CHECK" ]; then
     for metric in pte_walk_cold_stock_ns pte_walk_cold_cta_ns \
         translate_tlb_hit_stock_ns translate_tlb_hit_cta_ns \
-        boot_dense_ms service_p99_trial_latency_ms; do
+        boot_dense_ms service_p99_trial_latency_ms \
+        rollback_p50_trial_latency_ms; do
         drift_watch lat "$metric"
     done
     for metric in dram_write_u64_ops_per_sec dram_fill_mb_per_sec \
@@ -134,13 +135,13 @@ cargo run --release -q -p cta-bench --bin json-check -- --schema \
     fixtures/recordings/*.recording.json
 
 echo "==> golden recording replay (all backends x flip engines, scoped + executor)"
-# The checked-in campaign recordings must replay byte-identically — flip
-# transcripts, contents hashes, clocks, outcomes, telemetry — under every
-# store backend and flip engine, both through the scoped serial path and
-# through the campaign executor at 1 and 3 workers (scheduling and the
-# executor's journaled in-place trials must be invisible in the bytes).
-# After an *intentional* simulation change, regenerate with
-# `replay-check --record` and commit the diff.
+# The checked-in campaign recordings (format v3) must replay
+# byte-identically — flip transcripts, contents digests, clocks, outcomes,
+# telemetry — under every store backend and flip engine, both through the
+# scoped serial path and through the campaign executor at 1 and 3 workers
+# (scheduling and the executor's journaled in-place trials must be
+# invisible in the bytes). After an *intentional* simulation change or a
+# format bump, regenerate with `replay-check --record` and commit the diff.
 cargo run --release -q -p cta-bench --bin replay-check -- --executor
 
 echo "==> telemetry sanity: no NaN/inf, no sanitizer flags"
