@@ -147,9 +147,8 @@ where
 /// The boot-once/fork-per-trial counterpart of [`run_campaign`] for
 /// experiments whose trials share one module: because boot is
 /// deterministic, forking a freshly booted kernel is bit-identical to
-/// rebooting it, minus the boot cost. With the
-/// [`cta_dram::StoreBackend::Cow`] backend each fork is O(materialized
-/// rows) cheap. Trials run serially on the caller's thread — the parent
+/// rebooting it, minus the boot cost. Each fork shares the parent's DRAM
+/// rows copy-on-write, so it is O(materialized rows) cheap. Trials run serially on the caller's thread — the parent
 /// kernel is `!Send` and cannot be shared across workers.
 ///
 /// `run` receives the trial index alongside the forked kernel, for trials
@@ -345,25 +344,21 @@ mod tests {
     }
 
     #[test]
-    fn forked_campaign_matches_reboot_per_trial_on_every_backend() {
-        use cta_dram::StoreBackend;
+    fn forked_campaign_matches_reboot_per_trial() {
         let attack = SprayAttack::default();
         let trials = 4usize;
         let seeds = vec![77u64; trials]; // reboot campaign: same module each trial
-        for backend in StoreBackend::ALL {
-            let build = |seed: u64| {
-                SystemBuilder::new(8 << 20)
-                    .ptp_bytes(512 * 1024)
-                    .seed(seed)
-                    .disturbance(DisturbanceParams { pf: 0.05, ..DisturbanceParams::default() })
-                    .backend(backend)
-                    .build()
-            };
-            let rebooted = spray_campaign(&attack, &seeds, 1, build).unwrap();
-            let parent = build(77).unwrap();
-            let forked = run_forked_campaign(&parent, trials, |_, k| attack.run(k)).unwrap();
-            assert_eq!(forked, rebooted, "backend={backend}");
-        }
+        let build = |seed: u64| {
+            SystemBuilder::new(8 << 20)
+                .ptp_bytes(512 * 1024)
+                .seed(seed)
+                .disturbance(DisturbanceParams { pf: 0.05, ..DisturbanceParams::default() })
+                .build()
+        };
+        let rebooted = spray_campaign(&attack, &seeds, 1, build).unwrap();
+        let parent = build(77).unwrap();
+        let forked = run_forked_campaign(&parent, trials, |_, k| attack.run(k)).unwrap();
+        assert_eq!(forked, rebooted);
     }
 
     #[test]

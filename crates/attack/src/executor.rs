@@ -109,7 +109,7 @@ pub struct CampaignRequest {
     pub label: String,
     /// The campaign spec (attack, machine, seeds).
     pub spec: RecordingSpec,
-    /// Implementation target (backend / flip engine / defense).
+    /// Implementation target (flip engine / defense).
     pub target: ReplayTarget,
 }
 
@@ -312,7 +312,7 @@ fn parent_key(
 ) -> String {
     let d = &spec.disturbance;
     format!(
-        "m{}:r{}:c{}:p{}:prot{}:prof{}:pf{:016x}:rev{:016x}:ht{}:trc{}:gen{:?}:s{}:be{}:fe{:?}:def{:?}:mcb{:?}",
+        "m{}:r{}:c{}:p{}:prot{}:prof{}:pf{:016x}:rev{:016x}:ht{}:trc{}:gen{:?}:s{}:fe{:?}:def{:?}:mcb{:?}",
         spec.memory_bytes,
         spec.row_bytes,
         spec.cell_period_rows,
@@ -325,7 +325,6 @@ fn parent_key(
         d.trc_ns,
         spec.map_gen,
         seed,
-        target.backend.name(),
         target.flip_engine,
         target.defense,
         limits.model_cache_bytes,

@@ -1,17 +1,17 @@
 //! Flip-log record/replay: capture a campaign's complete flip transcript,
-//! then prove any backend/engine combination reproduces it byte for byte.
+//! then prove either flip engine reproduces it byte for byte.
 //!
 //! The simulator's determinism contract says a campaign is a pure function
 //! of its spec: the same seeds produce the same flips, the same DRAM
 //! contents, and the same telemetry no matter which
-//! [`StoreBackend`](cta_dram::StoreBackend) stores the rows, which
-//! [`FlipEngine`](cta_dram::FlipEngine) computes the flips, or how many
-//! threads run the trials. The differential test suites check that
+//! [`FlipEngine`](cta_dram::FlipEngine) computes the flips, how many
+//! threads run the trials, or whether a trial runs on a fresh boot, a
+//! fork, or a journaled parent. The differential test suites check that
 //! contract pairwise at every commit; a [`Recording`] turns it into an
 //! *artifact*: a golden transcript checked into the repository that every
 //! future build must reproduce exactly. A regression that perturbs the
-//! simulation — a reordered hammer loop, an off-by-one in decay windows, a
-//! backend that drifts — fails replay with a positioned mismatch instead
+//! simulation — a reordered hammer loop, an off-by-one in decay windows, an
+//! engine that drifts — fails replay with a positioned mismatch instead
 //! of silently changing every downstream experiment.
 //!
 //! The subsystem exists because the flip log is *bounded*: the
@@ -32,9 +32,9 @@
 //!
 //! What is — and is not — free to vary at replay:
 //!
-//! * **Backend, flip engine, threads**: implementation knobs, recorded
-//!   nowhere in the transcript's meaning; [`ReplayTarget::all`] enumerates
-//!   the backend × engine grid for exhaustive gates.
+//! * **Flip engine, threads**: implementation knobs, recorded nowhere in
+//!   the transcript's meaning; [`ReplayTarget::all`] enumerates both
+//!   engines for exhaustive gates.
 //! * **MapGen**: *not* an implementation knob. It selects which
 //!   deterministic vulnerability universe the seed fixes, so it is part of
 //!   the [`RecordingSpec`] and replay always uses the recorded value.
@@ -94,7 +94,7 @@ impl RecordedAttack {
 
 /// Everything needed to re-run a recorded campaign deterministically.
 ///
-/// Implementation knobs (backend, flip engine) are deliberately absent:
+/// Implementation knobs (the flip engine) are deliberately absent:
 /// they must not change the transcript, and replay exists to prove it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecordingSpec {
@@ -163,7 +163,6 @@ impl RecordingSpec {
             .disturbance(self.disturbance)
             .map_gen(self.map_gen)
             .seed(seed)
-            .backend(target.backend)
             .flip_engine(target.flip_engine)
             .defense(target.defense)
     }
@@ -173,8 +172,6 @@ impl RecordingSpec {
 /// transcript must be invariant under every choice here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayTarget {
-    /// Row-store backend.
-    pub backend: cta_dram::StoreBackend,
     /// Disturbance/decay inner-loop implementation.
     pub flip_engine: cta_dram::FlipEngine,
     /// Software defense installed on the trial machines. Golden gates
@@ -196,7 +193,7 @@ impl fmt::Display for ReplayTarget {
             cta_dram::FlipEngine::Scalar => "scalar",
             cta_dram::FlipEngine::Wordwise => "wordwise",
         };
-        write!(f, "{}/{engine}", self.backend.name())?;
+        f.write_str(engine)?;
         if !self.defense.is_none() {
             write!(f, "+{}", self.defense)?;
         }
@@ -205,16 +202,13 @@ impl fmt::Display for ReplayTarget {
 }
 
 impl ReplayTarget {
-    /// Every backend × flip-engine combination, for exhaustive gates.
+    /// Both flip engines, undefended, for exhaustive gates.
     #[must_use]
     pub fn all() -> Vec<ReplayTarget> {
-        let mut targets = Vec::new();
-        for backend in cta_dram::StoreBackend::ALL {
-            for flip_engine in [cta_dram::FlipEngine::Scalar, cta_dram::FlipEngine::Wordwise] {
-                targets.push(ReplayTarget { backend, flip_engine, defense: DefenseSpec::None });
-            }
-        }
-        targets
+        [cta_dram::FlipEngine::Scalar, cta_dram::FlipEngine::Wordwise]
+            .into_iter()
+            .map(|flip_engine| ReplayTarget { flip_engine, defense: DefenseSpec::None })
+            .collect()
     }
 }
 
@@ -996,12 +990,10 @@ mod tests {
     }
 
     #[test]
-    fn replay_target_grid_is_the_full_cross_product() {
+    fn replay_target_grid_covers_both_engines() {
         let all = ReplayTarget::all();
-        assert_eq!(all.len(), 6);
-        let unique: std::collections::HashSet<String> = all.iter().map(|t| t.to_string()).collect();
-        assert_eq!(unique.len(), 6, "{unique:?}");
-        assert!(unique.contains("sparse/scalar") && unique.contains("cow/wordwise"));
+        let names: Vec<String> = all.iter().map(|t| t.to_string()).collect();
+        assert_eq!(names, ["scalar", "wordwise"]);
     }
 
     #[test]

@@ -11,22 +11,21 @@ use cta_attack::spray::SprayAttack;
 use cta_attack::templating::TemplatingAttack;
 use cta_core::verify::verify_system;
 use cta_core::SystemBuilder;
-use cta_dram::{DisturbanceParams, FlipEngine, MapGen, StoreBackend};
+use cta_dram::{DisturbanceParams, FlipEngine, MapGen};
 use cta_vm::Kernel;
 
 /// Two machines identical in every respect except the flip engine.
-fn machines(seed: u64, pf: f64, backend: StoreBackend) -> (Kernel, Kernel) {
-    machines_with(seed, pf, backend, MapGen::default())
+fn machines(seed: u64, pf: f64) -> (Kernel, Kernel) {
+    machines_with(seed, pf, MapGen::default())
 }
 
 /// Same, pinning the vulnerability-map derivation version. Both machines
 /// share the derivation — the differential is engine-only, within either
 /// deterministic universe.
-fn machines_with(seed: u64, pf: f64, backend: StoreBackend, map_gen: MapGen) -> (Kernel, Kernel) {
+fn machines_with(seed: u64, pf: f64, map_gen: MapGen) -> (Kernel, Kernel) {
     let base = SystemBuilder::new(8 << 20)
         .ptp_bytes(512 * 1024)
         .seed(seed)
-        .backend(backend)
         .map_gen(map_gen)
         .disturbance(DisturbanceParams { pf, ..DisturbanceParams::default() });
     let scalar = base.clone().flip_engine(FlipEngine::Scalar).build().unwrap();
@@ -61,8 +60,8 @@ fn assert_machines_identical(scalar: &Kernel, wordwise: &Kernel, ctx: &str) {
 #[test]
 fn spray_campaign_is_bit_identical_across_engines() {
     let attack = SprayAttack::default();
-    for seed in [0u64, 3, 5] {
-        let (mut scalar, mut wordwise) = machines(seed, 0.05, StoreBackend::default());
+    for seed in [0u64, 3, 5, 7] {
+        let (mut scalar, mut wordwise) = machines(seed, 0.05);
         let out_s = attack.run(&mut scalar).unwrap();
         let out_w = attack.run(&mut wordwise).unwrap();
         assert_eq!(out_s, out_w, "seed {seed}: spray outcomes diverged");
@@ -74,23 +73,11 @@ fn spray_campaign_is_bit_identical_across_engines() {
 fn templating_campaign_is_bit_identical_across_engines() {
     let attack = TemplatingAttack::default();
     for seed in [0u64, 1] {
-        let (mut scalar, mut wordwise) = machines(seed, 0.004, StoreBackend::default());
+        let (mut scalar, mut wordwise) = machines(seed, 0.004);
         let out_s = attack.run(&mut scalar).unwrap();
         let out_w = attack.run(&mut wordwise).unwrap();
         assert_eq!(out_s, out_w, "seed {seed}: templating outcomes diverged");
         assert_machines_identical(&scalar, &wordwise, &format!("templating seed {seed}"));
-    }
-}
-
-#[test]
-fn engines_agree_on_every_row_store_backend() {
-    let attack = SprayAttack::default();
-    for backend in StoreBackend::ALL {
-        let (mut scalar, mut wordwise) = machines(7, 0.05, backend);
-        let out_s = attack.run(&mut scalar).unwrap();
-        let out_w = attack.run(&mut wordwise).unwrap();
-        assert_eq!(out_s, out_w, "backend {backend}: spray outcomes diverged");
-        assert_machines_identical(&scalar, &wordwise, &format!("backend {backend}"));
     }
 }
 
@@ -102,8 +89,7 @@ fn campaigns_are_bit_identical_across_engines_under_counter_maps() {
     // reference, at both sparse and dense pf.
     let attack = SprayAttack::default();
     for (seed, pf) in [(0u64, 0.05), (5, 0.004)] {
-        let (mut scalar, mut wordwise) =
-            machines_with(seed, pf, StoreBackend::default(), MapGen::Counter);
+        let (mut scalar, mut wordwise) = machines_with(seed, pf, MapGen::Counter);
         let out_s = attack.run(&mut scalar).unwrap();
         let out_w = attack.run(&mut wordwise).unwrap();
         assert_eq!(out_s, out_w, "seed {seed}: counter-map spray outcomes diverged");
@@ -118,7 +104,7 @@ fn map_gen_versions_are_distinct_deterministic_universes() {
     // reproduces itself exactly.
     let attack = SprayAttack::default();
     let run = |map_gen| {
-        let (_, mut machine) = machines_with(11, 0.05, StoreBackend::default(), map_gen);
+        let (_, mut machine) = machines_with(11, 0.05, map_gen);
         let out = attack.run(&mut machine).unwrap();
         (out, machine.dram().stats().total_flips())
     };
@@ -139,7 +125,7 @@ fn map_gen_versions_are_distinct_deterministic_universes() {
 fn campaigns_actually_flip_bits() {
     // Guard against the differential passing vacuously on a flip-free run.
     let attack = SprayAttack::default();
-    let (_, mut wordwise) = machines(3, 0.05, StoreBackend::default());
+    let (_, mut wordwise) = machines(3, 0.05);
     attack.run(&mut wordwise).unwrap();
     assert!(wordwise.dram().stats().total_flips() > 0, "spray induced no flips at pf=0.05");
 }

@@ -5,7 +5,7 @@
 //! an undo journal and rolls it back. Its determinism contract says this
 //! is invisible: transcripts, merged counters, summaries and contents
 //! hashes must be byte-identical to [`record_campaign`], which boots a
-//! fresh machine per trial, on every backend × flip-engine combination.
+//! fresh machine per trial, under either flip engine.
 //! These tests pin that with the scoped path as the oracle, plus the
 //! cancellation path and the tenant-limits gauge a rollback must leave
 //! untouched.
@@ -94,7 +94,7 @@ fn assert_matches_scoped(golden: &Recording, target: ReplayTarget, workers: usiz
 }
 
 #[test]
-fn journaled_trials_match_the_scoped_path_on_every_backend_and_flip_engine() {
+fn journaled_trials_match_the_scoped_path_on_every_flip_engine() {
     // Two trials per seed value so repeat trials are served from a
     // rolled-back parent (the case a leaky rollback would corrupt).
     let golden = record_campaign(&small_spec(vec![0, 1, 0, 1])).expect("scoped path records");

@@ -1,5 +1,5 @@
 //! Record/replay backbone: a recorded campaign must replay byte-identically
-//! under every store backend × flip engine, a lossy or retention-disabled
+//! under either flip engine, a lossy or retention-disabled
 //! recording must be rejected loudly, the serialized form must round-trip
 //! through the strict JSON layer, and any tampering with the transcript
 //! must be detected.
@@ -9,7 +9,7 @@ use cta_attack::{
     RecordingError, RecordingSpec, ReplayTarget, SprayAttack, TemplatingAttack,
 };
 use cta_core::DefenseSpec;
-use cta_dram::{BlockHammerParams, FlipDirection, StoreBackend};
+use cta_dram::{BlockHammerParams, FlipDirection};
 
 /// A deliberately small spray campaign: two trials, narrow spray, few
 /// hammer rows — enough to induce flips at `pf = 0.05` while keeping the
@@ -26,7 +26,7 @@ fn small_templating_spec() -> RecordingSpec {
 }
 
 #[test]
-fn spray_recording_replays_identically_on_every_backend_and_engine() {
+fn spray_recording_replays_identically_on_every_engine() {
     let recording = record_campaign(&small_spray_spec()).unwrap();
     assert_eq!(recording.trials.len(), 2);
     let total_flips: u64 = recording.trials.iter().map(|t| t.flips.len() as u64).sum();
@@ -45,11 +45,7 @@ fn templating_recording_replays_identically() {
     let recording = record_campaign(&small_templating_spec()).unwrap();
     for target in [
         ReplayTarget::default(),
-        ReplayTarget {
-            backend: StoreBackend::Cow,
-            flip_engine: cta_dram::FlipEngine::Scalar,
-            defense: DefenseSpec::None,
-        },
+        ReplayTarget { flip_engine: cta_dram::FlipEngine::Scalar, defense: DefenseSpec::None },
     ] {
         replay_recording(&recording, target)
             .unwrap_or_else(|e| panic!("replay failed on {target}: {e}"));

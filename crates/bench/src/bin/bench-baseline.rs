@@ -25,11 +25,11 @@ use cta_analysis::{
 };
 use cta_attack::{
     record_campaign, run_campaign, run_forked_campaign, CampaignExecutor, CampaignRequest,
-    ExecutorConfig, RecordedAttack, RecordingSpec, ReplayTarget, SprayAttack, TenantLimits,
+    ExecutorConfig, RecordedAttack, RecordingSpec, SprayAttack, TenantLimits,
 };
 use cta_bench::{emit_telemetry, header, kv};
 use cta_core::SystemBuilder;
-use cta_dram::{DisturbanceParams, DramConfig, DramModule, StoreBackend};
+use cta_dram::{DisturbanceParams, DramConfig, DramModule};
 use cta_mem::PAGE_SIZE;
 use cta_telemetry::Counters;
 use cta_vm::{Access, Kernel, VirtAddr};
@@ -256,65 +256,39 @@ fn bench_table4_smoke(quick: bool, metrics: &mut Vec<(String, f64)>, tel: &mut C
     record_overhead_rows(tel, "table4_smoke", &serial_rows);
 }
 
-/// Per-backend hot paths: cold PTE-walk latency and the boot-once/
-/// fork-per-trial campaign against reboot-per-trial, per
-/// [`StoreBackend`]. Fork and reboot results are asserted identical
-/// before their rates are recorded, so the speedup the baseline pins is a
-/// speedup between provably equivalent computations.
-fn bench_backends(quick: bool, metrics: &mut Vec<(String, f64)>) {
-    let walk_iters = if quick { 20_000 } else { 100_000 };
+/// The boot-once/fork-per-trial campaign against reboot-per-trial. Fork
+/// and reboot results are asserted identical before their rates are
+/// recorded, so the speedup the baseline pins is a speedup between
+/// provably equivalent computations.
+fn bench_fork_campaign(quick: bool, metrics: &mut Vec<(String, f64)>) {
     let trials = if quick { 8 } else { 32 };
     let attack = SprayAttack::default();
-    for backend in StoreBackend::ALL {
-        let name = backend.name();
-
-        // Cold-walk latency, same shape as `bench_walk_latency` stock.
-        let mut k = SystemBuilder::new(16 << 20)
-            .ptp_bytes(1 << 20)
-            .seed(3)
-            .disturbance(DisturbanceParams { pf: 0.0, ..DisturbanceParams::default() })
-            .backend(backend)
+    // Same module (constant seed) every trial, identical by determinism.
+    // Boot is the realistic profiled-CTA boot — the profiler writes and
+    // decays every row, which is exactly the cost forking amortizes away.
+    let build = |seed: u64| {
+        SystemBuilder::new(8 << 20)
+            .ptp_bytes(512 * 1024)
+            .seed(seed)
+            .protected(true)
+            .profile_cells(true)
+            .disturbance(DisturbanceParams { pf: 0.05, ..DisturbanceParams::default() })
             .build()
-            .expect("machine boots");
-        let pid = k.create_process(false).unwrap();
-        let va = VirtAddr(0x4000_0000);
-        k.mmap_anonymous(pid, va, 8 * PAGE_SIZE, true).unwrap();
-        let cold = time_per_iter_warm(walk_iters / 10, walk_iters, || {
-            k.flush_tlb();
-            std::hint::black_box(k.translate(pid, va, Access::user_read()).unwrap());
-        });
-        metrics.push((format!("pte_walk_cold_{name}_ns"), cold));
+    };
+    let seeds = vec![11u64; trials];
+    let start = Instant::now();
+    let rebooted = run_campaign(&seeds, 1, build, |k| attack.run(k)).expect("campaign runs");
+    let reboot_rate = trials as f64 / start.elapsed().as_secs_f64();
 
-        // Campaign: reboot-per-trial vs boot-once/fork-per-trial on the
-        // same module (constant seed), identical by determinism. Boot is
-        // the realistic profiled-CTA boot — the profiler writes and decays
-        // every row, which is exactly the cost forking amortizes away.
-        let build = |seed: u64| {
-            SystemBuilder::new(8 << 20)
-                .ptp_bytes(512 * 1024)
-                .seed(seed)
-                .protected(true)
-                .profile_cells(true)
-                .disturbance(DisturbanceParams { pf: 0.05, ..DisturbanceParams::default() })
-                .backend(backend)
-                .build()
-        };
-        let seeds = vec![11u64; trials];
-        let start = Instant::now();
-        let rebooted = run_campaign(&seeds, 1, build, |k| attack.run(k)).expect("campaign runs");
-        let reboot_rate = trials as f64 / start.elapsed().as_secs_f64();
+    let parent = build(11).expect("parent boots");
+    let start = Instant::now();
+    let forked = run_forked_campaign(&parent, trials, |_, k| attack.run(k)).expect("campaign runs");
+    let fork_rate = trials as f64 / start.elapsed().as_secs_f64();
+    assert_eq!(forked, rebooted, "fork-per-trial must equal reboot-per-trial");
 
-        let parent = build(11).expect("parent boots");
-        let start = Instant::now();
-        let forked =
-            run_forked_campaign(&parent, trials, |_, k| attack.run(k)).expect("campaign runs");
-        let fork_rate = trials as f64 / start.elapsed().as_secs_f64();
-        assert_eq!(forked, rebooted, "fork-per-trial must equal reboot-per-trial ({name})");
-
-        metrics.push((format!("campaign_reboot_{name}_trials_per_sec"), reboot_rate));
-        metrics.push((format!("campaign_fork_{name}_trials_per_sec"), fork_rate));
-        metrics.push((format!("campaign_fork_speedup_{name}"), fork_rate / reboot_rate));
-    }
+    metrics.push(("campaign_reboot_trials_per_sec".into(), reboot_rate));
+    metrics.push(("campaign_fork_trials_per_sec".into(), fork_rate));
+    metrics.push(("campaign_fork_speedup".into(), fork_rate / reboot_rate));
 }
 
 /// The disturbance/decay inner loops, wordwise engine vs the scalar
@@ -517,10 +491,9 @@ fn bench_datapath(quick: bool, metrics: &mut Vec<(String, f64)>) {
 /// queueing counts), and pool gauges are measured over the full drain.
 ///
 /// Campaign specs are boot-heavy on purpose (CTA protection + boot-time
-/// cell profiling on the CoW backend): that is the cost the parent pool
-/// pays once per (tenant, machine, seed) and every fork amortizes, and it
-/// is core-count independent — the recorded speedup holds on a single-
-/// core runner.
+/// cell profiling): that is the cost the parent pool pays once per
+/// (tenant, machine, seed) and every fork amortizes, and it is core-count
+/// independent — the recorded speedup holds on a single-core runner.
 fn bench_service(quick: bool, metrics: &mut Vec<(String, f64)>, tel: &mut Counters) {
     use cta_telemetry::json;
 
@@ -531,11 +504,10 @@ fn bench_service(quick: bool, metrics: &mut Vec<(String, f64)>, tel: &mut Counte
     };
     let campaigns_per_tenant = if quick { 2 } else { 3 };
     let trials_per_campaign = if quick { 4 } else { 12 };
-    // The default spray attack, as in `bench_backends`: its trial cost is
-    // well under the profiled boot it amortizes, so pool efficiency (not
-    // attack choice) dominates the recorded speedup.
+    // The default spray attack, as in `bench_fork_campaign`: its trial
+    // cost is well under the profiled boot it amortizes, so pool
+    // efficiency (not attack choice) dominates the recorded speedup.
     let attack = SprayAttack::default();
-    let target = ReplayTarget { backend: StoreBackend::Cow, ..ReplayTarget::default() };
     let spec_for = |seed: u64| {
         // Same machine, same seed for every trial of a tenant: the
         // executor boots one parent per (worker, tenant) and forks the
@@ -590,7 +562,6 @@ fn bench_service(quick: bool, metrics: &mut Vec<(String, f64)>, tel: &mut Counte
     for round in 0..campaigns_per_tenant {
         for &(tenant, seed) in tenants {
             let mut request = CampaignRequest::new(tenant, spec_for(seed));
-            request.target = target;
             // The scoped path labels merged telemetry RECORDING_LABEL;
             // match it so the byte-compare below covers the label too.
             request.label = cta_attack::recording::RECORDING_LABEL.to_string();
@@ -653,11 +624,11 @@ fn bench_service(quick: bool, metrics: &mut Vec<(String, f64)>, tel: &mut Counte
 /// correct computation.
 ///
 /// The campaign shape is boot-heavy with a small per-trial working set,
-/// deliberately: on the sparse backend, boot-time cell profiling
-/// materializes every row, so a fork would deep-copy the whole module,
-/// while the narrow spray trial dirties only a handful of rows that the
-/// journal captures lazily. Fork-per-trial throughput stays recorded by
-/// the `campaign_fork_*` metrics.
+/// deliberately: boot-time cell profiling materializes every row, so even
+/// a copy-on-write fork pays one refcount bump per row, while the narrow
+/// spray trial dirties only a handful of rows that the journal captures
+/// lazily. Fork-per-trial throughput stays recorded by the
+/// `campaign_fork_*` metrics.
 ///
 /// The full run repeats the drain on a 128 MiB machine
 /// (`rollback_trials_per_sec_128mib`): the same trial on 8x the rows,
@@ -706,11 +677,8 @@ fn rollback_drain(memory_bytes: u64, trials: usize, campaigns: usize) -> (f64, V
     // Constant seed: the pool boots one parent and serves every trial
     // from it, so the measured cost is the trial plus its rollback.
     const SEED: u64 = 11;
-    let target = ReplayTarget { backend: StoreBackend::Sparse, ..ReplayTarget::default() };
     let submit = |exec: &CampaignExecutor, seeds: Vec<u64>| {
-        let mut request = CampaignRequest::new("bench", spec(seeds));
-        request.target = target;
-        exec.submit(request).expect("campaign submits")
+        exec.submit(CampaignRequest::new("bench", spec(seeds))).expect("campaign submits")
     };
 
     // One worker: a serial drain where per-trial cost is the only
@@ -819,7 +787,7 @@ fn main() {
     bench_alloc_throughput(opts.quick, &mut metrics);
     bench_monte_carlo(opts.quick, &mut metrics);
     bench_table4_smoke(opts.quick, &mut metrics, &mut tel);
-    bench_backends(opts.quick, &mut metrics);
+    bench_fork_campaign(opts.quick, &mut metrics);
     bench_service(opts.quick, &mut metrics, &mut tel);
     bench_rollback(opts.quick, &mut metrics);
     bench_psc(opts.quick, &mut metrics, &mut tel);

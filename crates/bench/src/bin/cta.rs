@@ -20,8 +20,7 @@
 //! ```
 //!
 //! Machines default to the paper's protected (CTA) configuration with
-//! boot-time cell profiling on the copy-on-write backend; `--stock`
-//! drops protection. `cta evaluate --jsonl` streams one strict-JSON
+//! boot-time cell profiling; `--stock` drops protection. `cta evaluate --jsonl` streams one strict-JSON
 //! line per completed campaign (the `json-check --schema` gate validates
 //! the stream's shape).
 
@@ -33,7 +32,6 @@ use cta_attack::{
     SprayAttack, TemplatingAttack, TenantLimits,
 };
 use cta_bench::{emit_telemetry, header, kv};
-use cta_dram::StoreBackend;
 use cta_telemetry::Counters;
 
 const USAGE: &str = "usage: cta <profile|evaluate|attack> [options]
@@ -104,7 +102,7 @@ fn parse_num(s: &str) -> Result<u64, String> {
 }
 
 /// The spec every subcommand shares: the standard small experiment
-/// machine, profiled at boot, attack trials under the CoW backend.
+/// machine, profiled at boot.
 fn spec(opts: &Options) -> RecordingSpec {
     let attack = if opts.attack == "spray" {
         RecordedAttack::Spray(SprayAttack {
@@ -130,10 +128,6 @@ fn spec(opts: &Options) -> RecordingSpec {
     spec
 }
 
-fn target() -> ReplayTarget {
-    ReplayTarget { backend: StoreBackend::Cow, ..ReplayTarget::default() }
-}
-
 fn cmd_profile(opts: &Options) -> ExitCode {
     header(&format!(
         "cta profile — seed {} / {} MiB / {}",
@@ -142,7 +136,7 @@ fn cmd_profile(opts: &Options) -> ExitCode {
         if opts.protected { "cta" } else { "stock" }
     ));
     let start = Instant::now();
-    let kernel = match spec(opts).builder(opts.seed, target()).build() {
+    let kernel = match spec(opts).builder(opts.seed, ReplayTarget::default()).build() {
         Ok(k) => k,
         Err(e) => {
             eprintln!("cta profile: boot failed: {e}");
@@ -231,9 +225,7 @@ fn cmd_evaluate(opts: &Options) -> ExitCode {
             exec.set_tenant_limits(&tenant, TenantLimits::default());
             let mut spec = spec(opts);
             spec.seeds = vec![opts.seed + tenant_idx as u64; opts.trials];
-            let mut request = CampaignRequest::new(tenant, spec);
-            request.target = target();
-            match exec.submit(request) {
+            match exec.submit(CampaignRequest::new(tenant, spec)) {
                 Ok(ticket) => tickets.push((round, tenant_idx, ticket)),
                 Err(e) => {
                     eprintln!("cta evaluate: submit failed: {e}");

@@ -2,11 +2,11 @@
 //!
 //! Loads every `*.recording.json` under the recordings directory
 //! (`fixtures/recordings/` by default, `$CTA_RECORDINGS_DIR` override) and
-//! replays each across the full store-backend × flip-engine grid,
-//! asserting byte-identical flip transcripts, DRAM contents hashes,
-//! simulated clocks, attack outcomes, and telemetry snapshots. Any
-//! simulation regression — in the DRAM model, the flip engines, the
-//! backends, the kernel, or the attacks — fails this gate with the first
+//! replays each under both flip engines, asserting byte-identical flip
+//! transcripts, DRAM contents hashes, simulated clocks, attack outcomes,
+//! and telemetry snapshots. Any simulation regression — in the DRAM
+//! model, the flip engines, the row store, the kernel, or the attacks —
+//! fails this gate with the first
 //! diverging observable instead of silently changing every experiment.
 //!
 //! Usage:
@@ -39,7 +39,7 @@ use cta_attack::{
 };
 
 /// The golden campaign set: deliberately tiny machines and narrow attacks
-/// so the full 6-target replay grid stays a fast tier-1 gate, while still
+/// so the full replay grid stays a fast tier-1 gate, while still
 /// exercising both attack families, both trial outcomes (spray induces
 /// flips and escalates on some seeds; templating gives up on others), and
 /// a multi-trial merged telemetry snapshot.

@@ -1,8 +1,6 @@
 //! One-stop construction of simulated machines, protected or not.
 
-use cta_dram::{
-    CellLayout, CellType, DisturbanceParams, DramConfig, FlipEngine, MapGen, StoreBackend,
-};
+use cta_dram::{CellLayout, CellType, DisturbanceParams, DramConfig, FlipEngine, MapGen};
 use cta_mem::PtpSpec;
 use cta_vm::{Kernel, KernelConfig, VmError};
 
@@ -38,7 +36,6 @@ pub struct SystemBuilder {
     restrict_two_zeros: bool,
     profile_cells: bool,
     screen_ps_bit: bool,
-    backend: StoreBackend,
     psc_entries: usize,
     flip_engine: FlipEngine,
     map_gen: MapGen,
@@ -64,7 +61,6 @@ impl SystemBuilder {
             restrict_two_zeros: false,
             profile_cells: false,
             screen_ps_bit: false,
-            backend: StoreBackend::default(),
             psc_entries: 16,
             flip_engine: FlipEngine::default(),
             map_gen: MapGen::default(),
@@ -144,13 +140,6 @@ impl SystemBuilder {
         self
     }
 
-    /// DRAM row-storage backend (performance/fork-cost knob; simulated
-    /// behavior is backend-invariant).
-    pub fn backend(mut self, backend: StoreBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Per-level paging-structure-cache capacity in entries; 0 disables the
     /// PSC so every TLB miss walks from CR3 (the pre-PSC translation path).
     pub fn psc_entries(mut self, entries: usize) -> Self {
@@ -197,7 +186,6 @@ impl SystemBuilder {
             retention: RetentionParams::default(),
             refresh_interval_ns: 64_000_000,
             seed: self.seed,
-            backend: self.backend,
             flip_engine: self.flip_engine,
             map_gen: self.map_gen,
         };

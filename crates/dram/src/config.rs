@@ -1,6 +1,5 @@
 use crate::cells::CellLayout;
 use crate::geometry::{AddressMapping, DramGeometry};
-use crate::store::StoreBackend;
 
 /// Parameters of the RowHammer disturbance model.
 ///
@@ -81,13 +80,12 @@ impl Default for RetentionParams {
 
 /// Derivation version of the per-row vulnerability maps.
 ///
-/// Unlike [`FlipEngine`] and [`StoreBackend`], which are pure
-/// implementation knobs, the map generation version *selects which
-/// deterministic universe the module lives in*: the two derivations
-/// produce different (equally valid) vulnerability maps for the same seed.
-/// Within either version, behavior is engine/backend-invariant, and the
-/// wordwise evaluation of [`MapGen::Counter`] is differentially pinned
-/// bit-for-bit against its scalar per-bit reference.
+/// Unlike [`FlipEngine`], a pure implementation knob, the map generation
+/// version *selects which deterministic universe the module lives in*: the
+/// two derivations produce different (equally valid) vulnerability maps
+/// for the same seed. Within either version, behavior is engine-invariant,
+/// and the wordwise evaluation of [`MapGen::Counter`] is differentially
+/// pinned bit-for-bit against its scalar per-bit reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MapGen {
     /// v1 (default): per-row ChaCha stream — Poisson-sampled vulnerable-bit
@@ -135,15 +133,12 @@ pub struct DramConfig {
     pub refresh_interval_ns: u64,
     /// Module seed fixing the vulnerability and retention maps.
     pub seed: u64,
-    /// Row-storage backend. Changes performance and fork cost only; every
-    /// backend simulates bit-identical behavior.
-    pub backend: StoreBackend,
     /// Disturbance/decay inner-loop implementation. Changes performance
     /// only; both engines simulate bit-identical behavior.
     pub flip_engine: FlipEngine,
     /// Vulnerability-map derivation version. Changes *which* deterministic
     /// maps the seed fixes (see [`MapGen`]); within a version, behavior is
-    /// engine- and backend-invariant.
+    /// engine-invariant.
     pub map_gen: MapGen,
 }
 
@@ -176,7 +171,6 @@ impl DramConfig {
             retention: RetentionParams::default(),
             refresh_interval_ns: REFRESH_INTERVAL_NS,
             seed,
-            backend: StoreBackend::default(),
             flip_engine: FlipEngine::default(),
             map_gen: MapGen::default(),
         }
@@ -193,7 +187,6 @@ impl DramConfig {
             retention: RetentionParams::default(),
             refresh_interval_ns: REFRESH_INTERVAL_NS,
             seed: 0xC0FFEE,
-            backend: StoreBackend::default(),
             flip_engine: FlipEngine::default(),
             map_gen: MapGen::default(),
         }
@@ -214,12 +207,6 @@ impl DramConfig {
     /// Builder-style override of the disturbance parameters.
     pub fn with_disturbance(mut self, disturbance: DisturbanceParams) -> Self {
         self.disturbance = disturbance;
-        self
-    }
-
-    /// Builder-style override of the row-storage backend.
-    pub fn with_backend(mut self, backend: StoreBackend) -> Self {
-        self.backend = backend;
         self
     }
 

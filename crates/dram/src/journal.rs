@@ -6,11 +6,11 @@
 //! as a unit:
 //!
 //! - **Row pre-images**: the first time a trial dirties a backing row — a
-//!   write, a charge touch, decay, or a disturbance — the row's full
-//!   pre-image (cell bytes + charge timestamp) is captured, or a `None`
-//!   marker if the row had never been materialized. Rollback restores
-//!   captured rows byte-for-byte and [`crate::RowStore::unmaterialize`]s
-//!   the `None`-marked ones. O(touched rows).
+//!   write, a charge touch, decay, or a disturbance — the row's slot is
+//!   captured: its copy-on-write pointer, or `None` if the row had never
+//!   been materialized. Capture is a refcount bump; the mutation that
+//!   follows copies the row away from the pre-image. Rollback puts each
+//!   captured slot back, unmaterializing the `None` ones. O(touched rows).
 //! - **Activation counters** ([`UndoVec`]): one entry per backing row, but
 //!   its only mutators log `(index, old)` while a journal is open, and
 //!   rollback replays the log backwards. O(touched entries): a `set` costs
@@ -36,17 +36,13 @@ use std::collections::HashMap;
 use std::ops::Deref;
 
 use crate::module::DramMeta;
-use crate::store::RowStore;
-
-/// Pre-image of one backing row at `journal_begin` time: `Some((bytes,
-/// last_charge_ns))` if the row was materialized, `None` if it was not.
-pub(crate) type RowPreImage = Option<(Box<[u8]>, u64)>;
+use crate::store::{Row, RowStore};
 
 /// The undo journal of one in-place trial. Constructed by
 /// `DramModule::journal_begin`, consumed by `DramModule::journal_rollback`.
 pub(crate) struct DramJournal {
     /// Lazily-captured row pre-images, keyed by backing-row id.
-    pub(crate) rows: HashMap<u64, RowPreImage>,
+    pub(crate) rows: HashMap<u64, Row>,
     /// The module's non-row state as of `journal_begin`.
     pub(crate) meta: DramMeta,
 }
@@ -55,15 +51,8 @@ impl DramJournal {
     /// Captures `row`'s pre-image on first touch; later touches of the
     /// same row are O(1) no-ops. Must be called *before* the mutation.
     #[inline]
-    pub(crate) fn capture_row(&mut self, row: u64, store: &impl RowStore) {
-        self.rows.entry(row).or_insert_with(|| {
-            // A row with a charge timestamp is materialized on every
-            // backend (a Dense store answers `bytes` even for untouched
-            // rows, so the charge plane is the materialization oracle).
-            store.last_charge_ns(row).map(|charge| {
-                (store.bytes(row).expect("materialized row has bytes").into(), charge)
-            })
-        });
+    pub(crate) fn capture_row(&mut self, row: u64, store: &RowStore) {
+        self.rows.entry(row).or_insert_with(|| store.row(row));
     }
 
     /// Number of distinct rows captured so far (dirty-row footprint).

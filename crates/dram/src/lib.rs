@@ -82,7 +82,6 @@ pub use profiler::{
 };
 pub use remap::RemapTable;
 pub use stats::{DramStats, FlipEvent, FlipLog};
-pub use store::{AnyRowStore, CowStore, DenseStore, RowMut, RowStore, SparseStore, StoreBackend};
 pub use vuln::{FlipDirection, VulnerabilityModel, VulnerableBit};
 
 /// Number of bits in a DRAM byte; used pervasively when converting between

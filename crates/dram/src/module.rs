@@ -12,7 +12,7 @@ use crate::journal::{DramJournal, UndoVec};
 use crate::remap::RemapTable;
 use crate::retention::{get_bit, set_bit, RetentionModel};
 use crate::stats::{DramStats, FlipEvent, FlipLog};
-use crate::store::{AnyRowStore, RowStore, StoreBackend};
+use crate::store::{contents, RowStore};
 use crate::vuln::{VulnerabilityModel, VulnerableBit};
 
 /// Column-access latency charged per read/write operation, nanoseconds.
@@ -97,9 +97,9 @@ impl Iterator for Spans {
 /// Ordinary accesses recharge the accessed row.
 pub struct DramModule {
     config: DramConfig,
-    /// Row storage ([`StoreBackend`]-selected), indexed by backing-row id;
-    /// unmaterialized rows have never been written (all cells at logic `0`).
-    store: AnyRowStore,
+    /// Copy-on-write row storage, indexed by backing-row id; unmaterialized
+    /// rows have never been written (all cells at logic `0`).
+    store: RowStore,
     /// Activation counts per backing row: `(generation, window_id, count)`,
     /// [`NO_ACTIVATIONS`] when the row was never activated. An undo-logged
     /// plane, so a journal costs O(entries the trial changes).
@@ -156,7 +156,6 @@ impl std::fmt::Debug for DramModule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DramModule")
             .field("capacity", &self.config.geometry.capacity_bytes())
-            .field("backend", &self.store.backend())
             .field("clock_ns", &self.meta.clock_ns)
             .field("materialized_rows", &self.store.materialized_count())
             .field("refresh_enabled", &self.meta.refresh_disabled_at.is_none())
@@ -183,7 +182,7 @@ impl DramModule {
         let banks = config.geometry.banks() as usize;
         let row_bytes = config.geometry.row_bytes() as usize;
         DramModule {
-            store: AnyRowStore::new(config.backend, total_rows, row_bytes),
+            store: RowStore::new(total_rows, row_bytes),
             activations: UndoVec::new(NO_ACTIVATIONS, total_rows),
             meta: DramMeta {
                 vuln,
@@ -206,11 +205,9 @@ impl DramModule {
     }
 
     /// Forks the module: an independent copy sharing no observable state
-    /// with the original. With [`StoreBackend::Cow`] the row contents are
-    /// shared copy-on-write, so the fork costs O(materialized rows)
-    /// reference bumps and each side later pays only for rows it changes;
-    /// the other backends deep-copy. Behavior after the fork is identical
-    /// for all backends.
+    /// with the original. The row contents are shared copy-on-write, so
+    /// the fork costs O(materialized rows) reference bumps and each side
+    /// later pays only for rows it changes.
     pub fn fork(&self) -> DramModule {
         assert!(self.journal.is_none(), "cannot fork a module with an active journal");
         DramModule {
@@ -245,8 +242,8 @@ impl DramModule {
     }
 
     /// Rolls the module back to its [`Self::journal_begin`] state: every
-    /// captured row pre-image is restored (rows that were unmaterialized
-    /// are unmaterialized again), the activation log is undone, and the
+    /// captured row slot is put back (rows that were unmaterialized are
+    /// unmaterialized again), the activation log is undone, and the
     /// metadata snapshot is reinstated — including the contents digest
     /// base a journaled [`Self::contents_digest`] stored there. O(touched
     /// rows and activation entries) plus the metadata restore.
@@ -256,15 +253,8 @@ impl DramModule {
     /// Panics if no journal is active.
     pub fn journal_rollback(&mut self) {
         let j = *self.journal.take().expect("journal_rollback without journal_begin");
-        for (row, pre) in j.rows {
-            match pre {
-                Some((bytes, charge)) => {
-                    let r = self.store.materialize(row, charge);
-                    r.bytes.copy_from_slice(&bytes);
-                    *r.last_charge_ns = charge;
-                }
-                None => self.store.unmaterialize(row),
-            }
+        for (row, saved) in j.rows {
+            self.store.restore(row, saved);
         }
         self.activations.rollback();
         self.meta = j.meta;
@@ -319,7 +309,7 @@ impl DramModule {
         for (&backing, pre) in &j.rows {
             let logical = self.meta.remap.resolve(RowId(backing)).0;
             let now = self.store.bytes(backing).unwrap_or(&zeros);
-            let then = pre.as_ref().map_or(&zeros[..], |(bytes, _)| bytes);
+            let then = pre.as_deref().map_or(&zeros[..], contents);
             delta = delta
                 .wrapping_add(row_digest(logical, now))
                 .wrapping_sub(row_digest(logical, then));
@@ -346,19 +336,13 @@ impl DramModule {
         })
     }
 
-    /// The row-store backend this module runs on.
-    pub fn store_backend(&self) -> StoreBackend {
-        self.store.backend()
-    }
-
-    /// Number of rows currently materialized (identical across backends
-    /// for the same operation history).
+    /// Number of rows currently materialized.
     pub fn rows_materialized(&self) -> usize {
         self.store.materialized_count()
     }
 
     /// Number of materialized rows still shared copy-on-write with live
-    /// forks; `0` for non-Cow backends.
+    /// forks (or with an open journal's pre-images).
     pub fn rows_shared_with_forks(&self) -> usize {
         self.store.shared_rows()
     }
@@ -1170,10 +1154,10 @@ impl DramModule {
         }
         let cell_type = self.config.layout.cell_type(backing);
         let engine = self.config.flip_engine;
-        let row = self.store.materialize(backing.0, now);
+        let mut row = self.store.materialize(backing.0, now);
         let changed =
             self.meta.retention.apply_decay(backing, cell_type, row.bytes, elapsed, engine);
-        *row.last_charge_ns = now;
+        row.set_last_charge_ns(now);
         self.meta.stats.decay_flips += changed;
         self.sync_model_stats();
     }
@@ -1622,34 +1606,30 @@ mod tests {
 
     #[test]
     fn journal_rollback_restores_the_module_byte_identically() {
-        for backend in StoreBackend::ALL {
-            let mut cfg = DramConfig::small_test();
-            cfg.backend = backend;
-            let mut m = DramModule::new(cfg);
-            m.fill(0, 128, 0xFF).unwrap();
-            m.write_u64(4096 + 16, 0x1234_5678).unwrap();
-            let before = observe(&m);
+        let mut m = DramModule::new(DramConfig::small_test());
+        m.fill(0, 128, 0xFF).unwrap();
+        m.write_u64(4096 + 16, 0x1234_5678).unwrap();
+        let before = observe(&m);
 
-            m.journal_begin();
-            assert!(m.journal_active());
-            // A trial-shaped mutation mix: writes (materializing fresh
-            // rows), hammering past the threshold, a refresh outage with
-            // decay, a remap, a flip-log drain, and a power cycle.
-            m.fill(3 * 4096, 4096, 0xA5).unwrap();
-            m.hammer_double_sided(RowId(2)).unwrap();
-            m.disable_refresh();
-            m.advance(m.config().retention.max_ns + 1);
-            m.enable_refresh();
-            m.remap_row(RowId(4), RowId(6)).unwrap();
-            let _ = m.take_flip_log();
-            m.power_off(m.config().retention.min_ns / 2);
-            assert!(m.journal_dirty_rows() > 0);
+        m.journal_begin();
+        assert!(m.journal_active());
+        // A trial-shaped mutation mix: writes (materializing fresh
+        // rows), hammering past the threshold, a refresh outage with
+        // decay, a remap, a flip-log drain, and a power cycle.
+        m.fill(3 * 4096, 4096, 0xA5).unwrap();
+        m.hammer_double_sided(RowId(2)).unwrap();
+        m.disable_refresh();
+        m.advance(m.config().retention.max_ns + 1);
+        m.enable_refresh();
+        m.remap_row(RowId(4), RowId(6)).unwrap();
+        let _ = m.take_flip_log();
+        m.power_off(m.config().retention.min_ns / 2);
+        assert!(m.journal_dirty_rows() > 0);
 
-            m.journal_rollback();
-            assert!(!m.journal_active());
-            assert_eq!(observe(&m), before, "backend {backend}");
-            assert!(m.remap_table().is_empty());
-        }
+        m.journal_rollback();
+        assert!(!m.journal_active());
+        assert_eq!(observe(&m), before);
+        assert!(m.remap_table().is_empty());
     }
 
     #[test]

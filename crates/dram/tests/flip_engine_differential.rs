@@ -1,13 +1,13 @@
 //! Differential test: the scalar and wordwise flip engines are observably
 //! identical. One seeded operation sequence — writes, fills, hammering,
 //! refresh outages with decay-then-disturb interplay, power cycles, peeks —
-//! drives a module per engine (and per row-store backend), and every
+//! drives a module per engine (and per map derivation), and every
 //! observable must match byte for byte: full DRAM contents, the flip log in
 //! order, statistics, telemetry JSON, and the simulated clock.
 
 use cta_dram::{
     AddressMapping, CellLayout, CellType, DisturbanceParams, DramConfig, DramGeometry, DramModule,
-    FlipEngine, MapGen, RowId, StoreBackend,
+    FlipEngine, MapGen, RowId,
 };
 use cta_telemetry::Counters;
 
@@ -138,18 +138,11 @@ fn diff_config() -> DramConfig {
 }
 
 #[test]
-fn engines_bit_identical_across_all_backends() {
+fn engines_bit_identical_across_map_gens() {
     for map_gen in [MapGen::Stream, MapGen::Counter] {
-        for backend in StoreBackend::ALL {
-            for seed in [1u64, 42] {
-                let config =
-                    diff_config().with_seed(seed).with_backend(backend).with_map_gen(map_gen);
-                assert_engines_identical(
-                    config,
-                    seed,
-                    &format!("map_gen={map_gen:?} backend={backend} seed={seed}"),
-                );
-            }
+        for seed in [1u64, 42] {
+            let config = diff_config().with_seed(seed).with_map_gen(map_gen);
+            assert_engines_identical(config, seed, &format!("map_gen={map_gen:?} seed={seed}"));
         }
     }
 }
@@ -203,7 +196,7 @@ fn forked_wordwise_module_inherits_warm_planes_and_stays_identical() {
     // Campaign harnesses fork a booted module per trial; the fork clones the
     // model caches, so compiled planes carry over. The fork must still be
     // bit-identical to a cold scalar module driven the same way.
-    let config = diff_config().with_backend(StoreBackend::Cow);
+    let config = diff_config();
     let mut warm = DramModule::new(config.clone().with_flip_engine(FlipEngine::Wordwise));
     // Warm the plane cache by hammering every row once.
     for row in 0..64 {

@@ -16,11 +16,16 @@
 //!   mask, the contents again after an identical decay probe (refresh
 //!   off, clock past the retention horizon) applied to both modules.
 //!
+//! The reference fork shares the module's rows copy-on-write, so it is
+//! also observed after the ops and *before* rollback: a trial that wrote
+//! through to a shared row would show there, while a rollback would
+//! undo it on both sides and hide it.
+//!
 //! The module's own [`DramModule::contents_digest`] is cached and, inside
 //! a journal, updated incrementally; every test here checks it against
 //! the from-scratch oracle, never against another cached value.
 
-use cta_dram::{row_digest, DisturbanceParams, DramConfig, DramModule, RowId, StoreBackend};
+use cta_dram::{row_digest, DisturbanceParams, DramConfig, DramModule, RowId};
 use proptest::prelude::*;
 
 /// One randomized mutation. Parameters are raw and clamped at apply time
@@ -141,14 +146,14 @@ fn observe(m: &DramModule) -> (u64, u64, String, usize, usize, Vec<u64>) {
     )
 }
 
-/// A small module on the backend `seed` picks, with a denser disturbance
-/// map than the default so short op sequences flip bits.
+/// A small module with a denser disturbance map than the default so
+/// short op sequences flip bits.
 fn fuzz_module(seed: u64) -> DramModule {
-    let mut cfg = DramConfig::small_test()
-        .with_seed(seed)
-        .with_disturbance(DisturbanceParams { pf: 0.05, ..DisturbanceParams::default() });
-    cfg.backend = StoreBackend::ALL[(seed % 3) as usize];
-    DramModule::new(cfg)
+    DramModule::new(
+        DramConfig::small_test()
+            .with_seed(seed)
+            .with_disturbance(DisturbanceParams { pf: 0.05, ..DisturbanceParams::default() }),
+    )
 }
 
 proptest! {
@@ -184,6 +189,15 @@ proptest! {
                     round
                 );
             }
+            // The reference fork shares rows with `m` copy-on-write; a
+            // store that wrote a shared row in place would show here,
+            // where rollback has not yet undone it on both sides.
+            prop_assert_eq!(
+                observe(&reference),
+                before.clone(),
+                "a journaled trial leaked into a fork (round {})",
+                round
+            );
             m.journal_rollback();
 
             prop_assert_eq!(

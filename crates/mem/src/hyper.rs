@@ -261,7 +261,8 @@ mod tests {
         let map = map();
         let mut plan = HypervisorPlan::build(&map, 64 << 20, &guests()).unwrap();
         // Tamper: move guest-a's slice below the base.
-        let bad = PtpLayout::manual(vec![0..(1 << 20)], plan.zone_base(), 64 << 20, 1 << 20);
+        let below_base = 0..(1 << 20);
+        let bad = PtpLayout::manual(vec![below_base], plan.zone_base(), 64 << 20, 1 << 20);
         plan.guests[0].layout = bad;
         assert!(!plan.check(&map).is_empty());
     }

@@ -205,7 +205,6 @@ impl KernelConfig {
             retention: cta_dram::RetentionParams::default(),
             refresh_interval_ns: 64_000_000,
             seed: 0xBEEF,
-            backend: cta_dram::StoreBackend::default(),
             flip_engine: cta_dram::FlipEngine::default(),
             map_gen: cta_dram::MapGen::default(),
         };
@@ -232,12 +231,6 @@ impl KernelConfig {
     /// Builder-style CTA override.
     pub fn with_cta(mut self, spec: PtpSpec) -> Self {
         self.cta = Some(spec);
-        self
-    }
-
-    /// Builder-style DRAM row-store backend override.
-    pub fn with_backend(mut self, backend: cta_dram::StoreBackend) -> Self {
-        self.dram.backend = backend;
         self
     }
 }
@@ -383,11 +376,9 @@ impl Kernel {
     ///
     /// Forking a freshly booted kernel is indistinguishable from booting a
     /// second one with the same [`KernelConfig`] — the substrate of
-    /// parallel fan-out from one booted parent. With the
-    /// [`cta_dram::StoreBackend::Cow`] backend the DRAM snapshot is
+    /// parallel fan-out from one booted parent. The DRAM snapshot is
     /// copy-on-write, so a fork costs O(materialized rows) reference bumps
-    /// and each trial pays only for the rows it actually changes; other
-    /// backends deep-copy the module.
+    /// and each trial pays only for the rows it actually changes.
     pub fn fork(&self) -> Kernel {
         Kernel {
             dram: self.dram.fork(),
@@ -477,8 +468,8 @@ impl Kernel {
         c.record(&self.meta.tlb.stats());
         c.record(&self.meta.psc.stats());
         c.record(self.dram.stats());
-        // Materialized-row gauge: equal across store backends for the same
-        // operation history, so backend choice never perturbs telemetry.
+        // Materialized-row gauge: a function of the operation history
+        // alone, so forks and journaled trials never perturb telemetry.
         c.add_u64("dram", "rows_materialized", self.dram.rows_materialized() as u64);
         self.meta.alloc.record_counters(c);
         // Only defended machines carry a `defense` group, so undefended

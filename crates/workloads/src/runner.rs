@@ -303,9 +303,8 @@ impl Runner {
     ///
     /// Boot is deterministic, so the simulated-time fields are
     /// bit-identical to [`Runner::compare`] with a `build` that boots the
-    /// parents' configurations — minus the per-repetition boot cost
-    /// (cheapest with the [`cta_dram::StoreBackend::Cow`] backend, where a
-    /// fork is O(materialized rows)).
+    /// parents' configurations — minus the per-repetition boot cost (a
+    /// fork shares DRAM rows copy-on-write, so it is O(materialized rows)).
     ///
     /// # Errors
     ///
@@ -449,34 +448,22 @@ mod tests {
 
     #[test]
     fn compare_forked_is_bit_identical_to_compare() {
-        use cta_dram::StoreBackend;
         let spec = &spec2006()[1];
         let runner = Runner { repetitions: 2, seed: 0xF0F0 };
         let rebooted = runner.compare(machine, spec).unwrap();
-        for backend in StoreBackend::ALL {
-            let parent = |protected: bool| {
-                SystemBuilder::new(16 << 20)
-                    .ptp_bytes(1 << 20)
-                    .seed(77)
-                    .protected(protected)
-                    .backend(backend)
-                    .build()
-                    .unwrap()
-            };
-            let forked = runner.compare_forked(&parent(false), &parent(true), spec).unwrap();
-            assert_eq!(forked.name, rebooted.name, "backend={backend}");
-            assert_eq!(
-                forked.baseline_sim_ns.to_bits(),
-                rebooted.baseline_sim_ns.to_bits(),
-                "backend={backend}"
-            );
-            assert_eq!(
-                forked.cta_sim_ns.to_bits(),
-                rebooted.cta_sim_ns.to_bits(),
-                "backend={backend}"
-            );
-            assert_eq!(forked.repetitions, rebooted.repetitions);
-        }
+        let parent = |protected: bool| {
+            SystemBuilder::new(16 << 20)
+                .ptp_bytes(1 << 20)
+                .seed(77)
+                .protected(protected)
+                .build()
+                .unwrap()
+        };
+        let forked = runner.compare_forked(&parent(false), &parent(true), spec).unwrap();
+        assert_eq!(forked.name, rebooted.name);
+        assert_eq!(forked.baseline_sim_ns.to_bits(), rebooted.baseline_sim_ns.to_bits());
+        assert_eq!(forked.cta_sim_ns.to_bits(), rebooted.cta_sim_ns.to_bits());
+        assert_eq!(forked.repetitions, rebooted.repetitions);
     }
 
     #[test]

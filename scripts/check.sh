@@ -33,8 +33,9 @@ cargo build --release --workspace
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -q -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# All targets: tests, benches and examples are linted like library code.
+cargo clippy --workspace --all-targets -q -- -D warnings
 
 echo "==> cargo doc --no-deps (first-party packages, deny warnings)"
 for pkg in $FIRST_PARTY; do
@@ -134,11 +135,10 @@ cargo run --release -q -p cta-bench --bin json-check -- --schema
 cargo run --release -q -p cta-bench --bin json-check -- --schema \
     fixtures/recordings/*.recording.json
 
-echo "==> golden recording replay (all backends x flip engines, scoped + executor)"
+echo "==> golden recording replay (both flip engines, scoped + executor)"
 # The checked-in campaign recordings (format v3) must replay
 # byte-identically — flip transcripts, contents digests, clocks, outcomes,
-# telemetry — under every store backend and flip engine, both through the
-# scoped serial path and through the campaign executor at 1 and 3 workers
+# telemetry — under both flip engines, both through the scoped serial path and through the campaign executor at 1 and 3 workers
 # (scheduling and the executor's journaled in-place trials must be
 # invisible in the bytes). After an *intentional* simulation change or a
 # format bump, regenerate with `replay-check --record` and commit the diff.
