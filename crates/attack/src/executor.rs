@@ -264,13 +264,8 @@ impl WorkerCtx {
         let trial = pool
             .run_journaled(&key, boot, |kernel| run_trial_on(kernel, spec, seed))
             .map_err(RecordingError::Vm)?;
-        let result = trial.map(|(record, shard, log)| {
-            Some(ExecutedTrial {
-                record,
-                shard,
-                dropped: log.dropped,
-                latency_ns: elapsed_ns(ctx.submitted),
-            })
+        let result = trial.map(|(record, shard, dropped)| {
+            Some(ExecutedTrial { record, shard, dropped, latency_ns: elapsed_ns(ctx.submitted) })
         });
         self.publish_gauges();
         result

@@ -359,15 +359,16 @@ impl From<json::JsonError> for RecordingError {
 }
 
 /// Runs one trial under `target` and captures its full observable record
-/// plus a telemetry shard. Counter capture happens *before* the flip log
-/// is drained (so the `flip_log_retained` gauge reflects the trial), and
-/// record/replay share this function, so the order is identical on both
-/// sides by construction.
+/// plus a telemetry shard and the number of flip events the bounded log
+/// dropped (nonzero means the record's transcript is incomplete). Counter
+/// capture happens *before* the flip log is drained (so the
+/// `flip_log_retained` gauge reflects the trial), and record/replay share
+/// this function, so the order is identical on both sides by construction.
 fn run_trial(
     spec: &RecordingSpec,
     target: ReplayTarget,
     seed: u64,
-) -> Result<(TrialRecord, Counters, FlipLog), RecordingError> {
+) -> Result<(TrialRecord, Counters, u64), RecordingError> {
     let mut kernel = spec.builder(seed, target).build()?;
     run_trial_on(&mut kernel, spec, seed)
 }
@@ -381,7 +382,7 @@ pub(crate) fn run_trial_on(
     kernel: &mut Kernel,
     spec: &RecordingSpec,
     seed: u64,
-) -> Result<(TrialRecord, Counters, FlipLog), RecordingError> {
+) -> Result<(TrialRecord, Counters, u64), RecordingError> {
     kernel.dram_mut().set_flip_log_capacity(spec.flip_log_capacity);
     let outcome = spec.attack.run(kernel)?;
     let mut shard = Counters::new(RECORDING_LABEL);
@@ -390,9 +391,9 @@ pub(crate) fn run_trial_on(
     // O(rows the trial touched) under the executor's journal; a full
     // recompute on a freshly booted kernel.
     let contents_hash = kernel.dram_mut().contents_digest();
-    let log = kernel.dram_mut().take_flip_log();
-    let record = TrialRecord { seed, outcome, flips: log.events.clone(), contents_hash, end_ns };
-    Ok((record, shard, log))
+    let FlipLog { events: flips, dropped } = kernel.dram_mut().take_flip_log();
+    let record = TrialRecord { seed, outcome, flips, contents_hash, end_ns };
+    Ok((record, shard, dropped))
 }
 
 /// Runs every trial of `spec` under `target`, in seed order, enforcing
@@ -410,12 +411,12 @@ fn run_trials(
 
     let mut counters = Counters::new(RECORDING_LABEL);
     let mut trials = Vec::with_capacity(shards.len());
-    for (record, shard, log) in shards {
-        if !log.is_complete() {
+    for (record, shard, dropped) in shards {
+        if dropped > 0 {
             return Err(RecordingError::LossyFlipLog {
                 seed: record.seed,
-                dropped: log.dropped,
-                retained: log.len(),
+                dropped,
+                retained: record.flips.len(),
             });
         }
         counters.merge(&shard);

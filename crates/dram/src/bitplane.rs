@@ -21,6 +21,11 @@ pub(crate) fn words_for_bits(nbits: usize) -> usize {
 #[inline]
 pub(crate) fn load_word(bytes: &[u8], w: usize) -> u64 {
     let lo = w * 8;
+    // Whole words (every word of a row of 8-byte multiples) take a fixed
+    // 8-byte load; only a tail word goes through the zero-padded copy.
+    if let Some(word) = bytes.get(lo..lo + 8) {
+        return u64::from_le_bytes(word.try_into().expect("8-byte slice"));
+    }
     let hi = (lo + 8).min(bytes.len());
     let mut buf = [0u8; 8];
     buf[..hi - lo].copy_from_slice(&bytes[lo..hi]);
@@ -34,6 +39,10 @@ pub(crate) fn load_word(bytes: &[u8], w: usize) -> u64 {
 #[inline]
 pub(crate) fn store_word(bytes: &mut [u8], w: usize, word: u64) {
     let lo = w * 8;
+    if let Some(dst) = bytes.get_mut(lo..lo + 8) {
+        dst.copy_from_slice(&word.to_le_bytes());
+        return;
+    }
     let hi = (lo + 8).min(bytes.len());
     debug_assert!(
         hi - lo == 8 || word >> (8 * (hi - lo)) == 0,

@@ -35,7 +35,9 @@ pub(crate) struct BoundedCache<K: Hash + Eq + Clone, V> {
 }
 
 impl<K: Hash + Eq + Clone, V> BoundedCache<K, V> {
-    /// Creates a cache holding at most `capacity` entries.
+    /// Creates a cache holding at most `capacity` entries. Nothing is
+    /// allocated until the first insert, so cloning a cache that was never
+    /// filled copies nothing.
     ///
     /// # Panics
     ///
@@ -45,8 +47,8 @@ impl<K: Hash + Eq + Clone, V> BoundedCache<K, V> {
         assert!(capacity > 0, "cache capacity must be positive");
         BoundedCache {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1024)),
-            order: VecDeque::with_capacity(capacity.min(1024)),
+            map: HashMap::new(),
+            order: VecDeque::new(),
             evictions: 0,
             bytes: 0,
             byte_budget: None,

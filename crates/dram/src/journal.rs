@@ -16,11 +16,12 @@
 //!   rollback replays the log backwards. O(touched entries): a `set` costs
 //!   one log entry, a `fill` one per entry it changes.
 //! - **The metadata snapshot**: the module's whole `DramMeta` is cloned
-//!   at `journal_begin` and put back at rollback. It still clones the
-//!   model caches (their values are `Rc`s, so O(cached entries) refcount
-//!   bumps, never a regeneration), the remap table, one open-row register
-//!   per bank, the statistics including the retained flip-log events, and
-//!   the installed defense. None of these grows with module capacity.
+//!   at `journal_begin` and put back at rollback. The model caches sit
+//!   behind `Rc` and are shared copy-on-write with the snapshot: the clone
+//!   bumps their refcounts, and a trial copies a model only at its first
+//!   cache mutation (a miss, an eviction, decay). The clone still copies
+//!   the remap table, one open-row register per bank, the statistics
+//!   including the retained flip-log events, and the installed defense.
 //!
 //! The same journal also keeps the contents digest O(touched rows): the
 //! digest is a sum of per-row terms ([`crate::digest`]), so inside a

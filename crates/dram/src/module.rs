@@ -1,5 +1,6 @@
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use crate::bitplane::{load_word, store_word};
 use crate::cells::{CellLayout, CellType, CellTypeMap};
@@ -117,8 +118,11 @@ pub struct DramModule {
 /// defense and the cached contents digest.
 #[derive(Clone)]
 pub(crate) struct DramMeta {
-    vuln: VulnerabilityModel,
-    retention: RetentionModel,
+    /// The model caches are shared copy-on-write with every snapshot and
+    /// fork of this meta: copying it bumps two refcounts, and the caches
+    /// are copied only by the first mutation that finds them shared.
+    vuln: Rc<VulnerabilityModel>,
+    retention: Rc<RetentionModel>,
     remap: RemapTable,
     /// One-entry cache of the last remap resolution `(logical, backing)`,
     /// invalidated whenever the remap table changes. `Cell` because the
@@ -185,8 +189,8 @@ impl DramModule {
             store: RowStore::new(total_rows, row_bytes),
             activations: UndoVec::new(NO_ACTIVATIONS, total_rows),
             meta: DramMeta {
-                vuln,
-                retention,
+                vuln: Rc::new(vuln),
+                retention: Rc::new(retention),
                 remap: RemapTable::new(),
                 row_cache: Cell::new((ROW_NONE, ROW_NONE)),
                 clock_ns: 0,
@@ -205,9 +209,9 @@ impl DramModule {
     }
 
     /// Forks the module: an independent copy sharing no observable state
-    /// with the original. The row contents are shared copy-on-write, so
-    /// the fork costs O(materialized rows) reference bumps and each side
-    /// later pays only for rows it changes.
+    /// with the original. The row contents and the model caches are shared
+    /// copy-on-write, so the fork costs O(materialized rows) reference
+    /// bumps and each side later pays only for what it changes.
     pub fn fork(&self) -> DramModule {
         assert!(self.journal.is_none(), "cannot fork a module with an active journal");
         DramModule {
@@ -392,8 +396,8 @@ impl DramModule {
     ///
     /// Panics if `rows` is zero.
     pub fn set_model_cache_capacity(&mut self, rows: usize) {
-        self.meta.vuln.set_cache_capacity(rows);
-        self.meta.retention.set_cache_capacity(rows);
+        Rc::make_mut(&mut self.meta.vuln).set_cache_capacity(rows);
+        Rc::make_mut(&mut self.meta.retention).set_cache_capacity(rows);
         self.sync_model_stats();
     }
 
@@ -404,8 +408,8 @@ impl DramModule {
     /// memory/performance knob — evicted entries are regenerated from the
     /// module seed on demand.
     pub fn set_model_cache_bytes(&mut self, budget: Option<usize>) {
-        self.meta.vuln.set_cache_bytes(budget);
-        self.meta.retention.set_cache_bytes(budget);
+        Rc::make_mut(&mut self.meta.vuln).set_cache_bytes(budget);
+        Rc::make_mut(&mut self.meta.retention).set_cache_bytes(budget);
         self.sync_model_stats();
     }
 
@@ -944,7 +948,7 @@ impl DramModule {
             return Err(DramError::RowOutOfBounds { row, rows: self.config.geometry.total_rows() });
         }
         let backing = self.resolve_row(row);
-        let bits = self.meta.vuln.vulnerable_bits(backing).to_vec();
+        let bits = Rc::make_mut(&mut self.meta.vuln).vulnerable_bits(backing).to_vec();
         self.sync_model_stats();
         Ok(bits)
     }
@@ -1155,8 +1159,8 @@ impl DramModule {
         let cell_type = self.config.layout.cell_type(backing);
         let engine = self.config.flip_engine;
         let mut row = self.store.materialize(backing.0, now);
-        let changed =
-            self.meta.retention.apply_decay(backing, cell_type, row.bytes, elapsed, engine);
+        let changed = Rc::make_mut(&mut self.meta.retention)
+            .apply_decay(backing, cell_type, row.bytes, elapsed, engine);
         row.set_last_charge_ns(now);
         self.meta.stats.decay_flips += changed;
         self.sync_model_stats();
@@ -1183,7 +1187,7 @@ impl DramModule {
     /// `tests/flip_engine_differential.rs` proves over whole campaigns.
     fn disturb(&mut self, victim: RowId) {
         self.journal_capture(victim);
-        let bits = self.meta.vuln.vulnerable_bits(victim);
+        let bits = Rc::make_mut(&mut self.meta.vuln).vulnerable_bits(victim);
         if bits.is_empty() {
             self.meta.stats.disturbances += 1;
             self.sync_model_stats();
@@ -1215,7 +1219,7 @@ impl DramModule {
                 }
             }
             FlipEngine::Wordwise => {
-                let planes = self.meta.vuln.planes(victim, &bits);
+                let planes = Rc::make_mut(&mut self.meta.vuln).planes(victim, &bits);
                 let row = self.store.materialize(victim.0, clock);
                 for pw in planes.iter() {
                     let w = pw.word as usize;
@@ -1641,6 +1645,31 @@ mod tests {
         assert!(m.rows_materialized() > base);
         m.journal_rollback();
         assert_eq!(m.rows_materialized(), base);
+    }
+
+    #[test]
+    fn snapshots_and_forks_share_the_model_planes_until_first_mutation() {
+        let mut m = module();
+        let fork = m.fork();
+        assert!(Rc::ptr_eq(&m.meta.vuln, &fork.meta.vuln));
+        assert!(Rc::ptr_eq(&m.meta.retention, &fork.meta.retention));
+
+        m.journal_begin();
+        let snap = &m.journal.as_ref().expect("journal open").meta;
+        assert!(Rc::ptr_eq(&m.meta.vuln, &snap.vuln));
+        assert!(Rc::ptr_eq(&m.meta.retention, &snap.retention));
+
+        // Disturbing rows whose vulnerability maps are not cached yet
+        // copies `vuln` alone; with refresh on nothing decays.
+        m.hammer_double_sided(RowId(2)).unwrap();
+        let snap = &m.journal.as_ref().expect("journal open").meta;
+        assert!(!Rc::ptr_eq(&m.meta.vuln, &snap.vuln));
+        assert!(Rc::ptr_eq(&m.meta.retention, &snap.retention));
+        assert!(Rc::ptr_eq(&snap.vuln, &fork.meta.vuln), "the snapshot keeps the shared copy");
+
+        m.journal_rollback();
+        assert!(Rc::ptr_eq(&m.meta.vuln, &fork.meta.vuln));
+        assert!(Rc::ptr_eq(&m.meta.retention, &fork.meta.retention));
     }
 
     #[test]

@@ -11,15 +11,17 @@
 //!
 //! * the full contents digest, recomputed here from `peek_into` rows,
 //! * the simulated clock, statistics, remap table, materialization
-//!   footprint, and every row's activation counter,
+//!   footprint, model-cache occupancy, and every row's activation counter,
 //! * and, to expose charge-plane divergence that identical contents could
 //!   mask, the contents again after an identical decay probe (refresh
 //!   off, clock past the retention horizon) applied to both modules.
 //!
-//! The reference fork shares the module's rows copy-on-write, so it is
-//! also observed after the ops and *before* rollback: a trial that wrote
-//! through to a shared row would show there, while a rollback would
-//! undo it on both sides and hide it.
+//! The reference fork shares the module's rows and model caches
+//! copy-on-write, so it is also observed after the ops and *before*
+//! rollback: a trial that wrote through to a shared row or cache would
+//! show there, while a rollback would undo it on both sides and hide it.
+//! Some cases shrink the model caches to a few rows, so the trial evicts
+//! entries the journal's snapshot shares and rollback must restore them.
 //!
 //! The module's own [`DramModule::contents_digest`] is cached and, inside
 //! a journal, updated incrementally; every test here checks it against
@@ -135,7 +137,9 @@ fn oracle_digest(m: &DramModule) -> u64 {
 }
 
 /// Everything cheaply observable about a module, as one comparable blob.
-fn observe(m: &DramModule) -> (u64, u64, String, usize, usize, Vec<u64>) {
+type Observation = (u64, u64, String, usize, usize, Vec<u64>, usize, usize);
+
+fn observe(m: &DramModule) -> Observation {
     (
         oracle_digest(m),
         m.now_ns(),
@@ -143,6 +147,8 @@ fn observe(m: &DramModule) -> (u64, u64, String, usize, usize, Vec<u64>) {
         m.rows_materialized(),
         m.remap_table().len(),
         (0..m.geometry().total_rows()).map(|r| m.window_activations(RowId(r))).collect(),
+        m.model_cache_rows(),
+        m.model_cache_bytes(),
     )
 }
 
@@ -165,9 +171,13 @@ proptest! {
     #[test]
     fn rollback_restores_the_module_for_any_op_sequence(
         seed in any::<u64>(),
+        cache_rows in (any::<bool>(), 2usize..5).prop_map(|(tight, rows)| tight.then_some(rows)),
         ops in proptest::collection::vec(op_strategy(), 1..40),
     ) {
         let mut m = fuzz_module(seed);
+        if let Some(rows) = cache_rows {
+            m.set_model_cache_capacity(rows);
+        }
         // Pre-trial state with some materialized rows and history, so
         // rollback must restore *dirty* pre-images, not just blanks.
         m.fill(0, 4096, 0x5A).expect("prefill");

@@ -1,5 +1,6 @@
 use std::fmt;
 use std::ops::Range;
+use std::rc::Rc;
 
 use crate::buddy::BuddyAllocator;
 use crate::cta::PtLevel;
@@ -77,7 +78,10 @@ impl SubZoneSpec {
 /// (section 5's two-zeros restriction).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubZone {
-    buddy: BuddyAllocator,
+    /// Shared copy-on-write between clones of the zone: a cloned allocator
+    /// copies a sub-zone's free lists only when it allocates from or frees
+    /// into that sub-zone.
+    buddy: Rc<BuddyAllocator>,
     level: Option<PtLevel>,
     trusted_only: bool,
 }
@@ -136,7 +140,7 @@ impl Zone {
         let subzones = specs
             .into_iter()
             .map(|s| SubZone {
-                buddy: BuddyAllocator::new(Pfn(s.pfn_range.start), Pfn(s.pfn_range.end)),
+                buddy: Rc::new(BuddyAllocator::new(Pfn(s.pfn_range.start), Pfn(s.pfn_range.end))),
                 level: s.level,
                 trusted_only: s.trusted_only,
             })
@@ -207,7 +211,11 @@ impl Zone {
             if sub.trusted_only && !allow_trusted {
                 continue;
             }
-            match sub.buddy.alloc(order) {
+            // Skip a sub-zone that cannot serve the order before unsharing it.
+            if sub.buddy.largest_free_order().is_none_or(|largest| largest < order) {
+                continue;
+            }
+            match Rc::make_mut(&mut sub.buddy).alloc(order) {
                 Ok(pfn) => {
                     self.stats.allocations += 1;
                     self.stats.pages_allocated += 1 << order;
@@ -231,7 +239,7 @@ impl Zone {
     pub fn free(&mut self, pfn: Pfn, order: u8) -> Result<(), AllocError> {
         for sub in &mut self.subzones {
             if sub.buddy.contains(pfn) {
-                sub.buddy.free(pfn, order)?;
+                Rc::make_mut(&mut sub.buddy).free(pfn, order)?;
                 self.stats.frees += 1;
                 self.stats.pages_freed += 1 << order;
                 return Ok(());
@@ -325,6 +333,39 @@ mod tests {
         assert!(z.alloc(0, None, false).is_err(), "untrusted must not reach the stripe");
         let p = z.alloc(0, None, true).unwrap();
         assert!(p.0 >= 4);
+    }
+
+    #[test]
+    fn clones_share_sub_zone_buddies_until_one_is_used() {
+        let mut z = Zone::from_subzones(
+            ZoneKind::Ptp,
+            vec![SubZoneSpec::plain(0..4), SubZoneSpec::plain(8..12), SubZoneSpec::plain(16..20)],
+        );
+        let shared = |a: &Zone, b: &Zone| -> Vec<bool> {
+            a.subzones
+                .iter()
+                .zip(&b.subzones)
+                .map(|(x, y)| Rc::ptr_eq(&x.buddy, &y.buddy))
+                .collect()
+        };
+        for _ in 0..4 {
+            z.alloc(0, None, true).unwrap();
+        }
+        let snapshot = z.clone();
+        assert_eq!(shared(&z, &snapshot), [true, true, true]);
+
+        // The exhausted first sub-zone is skipped without being copied;
+        // the allocation copies only the sub-zone it comes from.
+        let p = z.alloc(0, None, true).unwrap();
+        assert_eq!(p, Pfn(8));
+        assert_eq!(shared(&z, &snapshot), [true, false, true]);
+
+        // A free copies only its own sub-zone, and the clone never changes.
+        z.free(Pfn(0), 0).unwrap();
+        assert_eq!(shared(&z, &snapshot), [false, false, true]);
+        assert_eq!(snapshot.free_pages(), 8);
+        assert_eq!(z.free_pages(), 8);
+        assert_ne!(z, snapshot);
     }
 
     #[test]

@@ -104,10 +104,13 @@ impl<T> RingLog<T> {
     /// from a complete one. Callers that genuinely only want the retained
     /// window can ignore the count explicitly; record/replay callers must
     /// fail loudly when it is non-zero.
+    ///
+    /// The ring's buffer becomes the returned `Vec` (no per-event copy); the
+    /// log keeps its retention capacity and allocates again on the next push.
     pub fn drain_to_vec(&mut self) -> (Vec<T>, u64) {
         let dropped = self.dropped;
         self.dropped = 0;
-        (self.buf.drain(..).collect(), dropped)
+        (Vec::from(std::mem::take(&mut self.buf)), dropped)
     }
 
     /// Discards all retained events and resets the drop counter.

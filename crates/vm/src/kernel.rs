@@ -398,7 +398,9 @@ impl Kernel {
     /// planes (row pre-images captured on first touch, a metadata
     /// snapshot); this layer snapshots the kernel's non-DRAM state (the
     /// allocator, TLB, page-structure cache, process/file/owner maps and
-    /// counters) whole — O(machine metadata), not O(machine memory).
+    /// counters) whole — O(machine metadata), not O(machine memory). The
+    /// allocator's sub-zone buddies are shared copy-on-write, so a trial
+    /// copies only the sub-zones it allocates from or frees into.
     ///
     /// # Panics
     ///

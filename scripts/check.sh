@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 gate for monotonic-cta: formatting, build, full test suite,
 # clippy (deny warnings), rustdoc (deny warnings), a quick bench-baseline
-# smoke run, an examples smoke run, and a telemetry sanity sweep.
+# smoke run, an examples smoke run, a perfbench correctness smoke over
+# every benchmark workload, and a telemetry sanity sweep.
 # Everything here must pass before a change lands.
 #
 # Usage: scripts/check.sh
@@ -143,6 +144,22 @@ echo "==> golden recording replay (both flip engines, scoped + executor)"
 # invisible in the bytes). After an *intentional* simulation change or a
 # format bump, regenerate with `replay-check --record` and commit the diff.
 cargo run --release -q -p cta-bench --bin replay-check -- --executor
+
+echo "==> perfbench smoke (every workload, pinned seed-1 digests)"
+# The repository benchmark is a package of its own (perfbench/). With
+# seed 1 each workload checks its simulated results against digests
+# pinned in its source and exits nonzero on a mismatch or a failed
+# operation; the timings of these short runs are not compared.
+cargo build --offline --release -q --manifest-path perfbench/Cargo.toml
+for workload in trial-churn module-sweep table4; do
+    echo "--- workload: $workload"
+    if ! out=$(cargo run --offline --release -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 2>&1); then
+        printf '%s\n' "$out"
+        echo "perfbench $workload failed its correctness gate"
+        exit 1
+    fi
+done
 
 echo "==> telemetry sanity: no NaN/inf, no sanitizer flags"
 # Word-boundary patterns: a substring match like `flip_info` or a
