@@ -22,7 +22,7 @@
 //! **Determinism contract.** A campaign's observable output — its
 //! [`TrialRecord`]s, merged [`Counters`], and [`CampaignSummary`] — is
 //! byte-identical to the scoped serial path for the same
-//! [`RecordingSpec`] and [`ReplayTarget`], regardless of worker count,
+//! [`RecordingSpec`] and [`DefenseSpec`], regardless of worker count,
 //! submission order, or steal interleaving:
 //!
 //! * each trial runs [`crate::recording`]'s shared trial body on a parent
@@ -54,6 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use cta_core::DefenseSpec;
 use cta_parallel::executor::{BatchHandle, Executor, Ticket};
 use cta_telemetry::json::{self, JsonValue};
 use cta_telemetry::jsonl::JsonlWriter;
@@ -63,7 +64,7 @@ use cta_vm::KernelPool;
 use crate::campaign::CampaignSummary;
 use crate::recording::{
     compare_with_recording, run_trial_on, Recording, RecordingError, RecordingSpec, ReplayReport,
-    ReplayTarget, TrialRecord,
+    TrialRecord,
 };
 
 /// Default snapshot label for executor-merged campaign telemetry; matches
@@ -109,18 +110,18 @@ pub struct CampaignRequest {
     pub label: String,
     /// The campaign spec (attack, machine, seeds).
     pub spec: RecordingSpec,
-    /// Implementation target (flip engine / defense).
-    pub target: ReplayTarget,
+    /// Software defense installed on every trial machine.
+    pub defense: DefenseSpec,
 }
 
 impl CampaignRequest {
-    /// A request for `tenant` running `spec` under the default target.
+    /// A request for `tenant` running `spec` on undefended machines.
     pub fn new(tenant: impl Into<String>, spec: RecordingSpec) -> Self {
         CampaignRequest {
             tenant: tenant.into(),
             label: EXECUTOR_LABEL.to_string(),
             spec,
-            target: ReplayTarget::default(),
+            defense: DefenseSpec::None,
         }
     }
 }
@@ -184,7 +185,7 @@ struct CampaignCtx {
     tenant: String,
     label: String,
     spec: RecordingSpec,
-    target: ReplayTarget,
+    defense: DefenseSpec,
     submitted: Instant,
 }
 
@@ -251,11 +252,11 @@ impl WorkerCtx {
             self.pools.entry(ctx.tenant.clone()).or_insert_with(|| KernelPool::new(capacity));
         pool.set_capacity(capacity);
 
-        let key = parent_key(&ctx.spec, ctx.target, seed, &limits);
+        let key = parent_key(&ctx.spec, ctx.defense, seed, &limits);
         let spec = &ctx.spec;
-        let target = ctx.target;
+        let defense = ctx.defense;
         let boot = || {
-            let mut parent = spec.builder(seed, target).build()?;
+            let mut parent = spec.builder(seed, defense).build()?;
             if let Some(budget) = limits.model_cache_bytes {
                 parent.dram_mut().set_model_cache_bytes(Some(budget));
             }
@@ -301,13 +302,13 @@ impl WorkerCtx {
 /// are encoded by bit pattern (exact, locale-free).
 fn parent_key(
     spec: &RecordingSpec,
-    target: ReplayTarget,
+    defense: DefenseSpec,
     seed: u64,
     limits: &TenantLimits,
 ) -> String {
     let d = &spec.disturbance;
     format!(
-        "m{}:r{}:c{}:p{}:prot{}:prof{}:pf{:016x}:rev{:016x}:ht{}:trc{}:gen{:?}:s{}:fe{:?}:def{:?}:mcb{:?}",
+        "m{}:r{}:c{}:p{}:prot{}:prof{}:pf{:016x}:rev{:016x}:ht{}:trc{}:gen{:?}:s{}:def{:?}:mcb{:?}",
         spec.memory_bytes,
         spec.row_bytes,
         spec.cell_period_rows,
@@ -320,8 +321,7 @@ fn parent_key(
         d.trc_ns,
         spec.map_gen,
         seed,
-        target.flip_engine,
-        target.defense,
+        defense,
         limits.model_cache_bytes,
     )
 }
@@ -437,7 +437,7 @@ impl CampaignExecutor {
             tenant: request.tenant,
             label: request.label,
             spec: request.spec,
-            target: request.target,
+            defense: request.defense,
             submitted: Instant::now(),
         });
         let jobs: Vec<TrialJob> = (0..ctx.spec.seeds.len())
@@ -506,9 +506,10 @@ impl CampaignExecutor {
         self.submit(request)?.wait()
     }
 
-    /// Replays a golden recording *through the executor* under `target`,
-    /// asserting byte-identity with the recorded transcript — the service
-    /// path proves it reproduces the scoped path's artifact exactly.
+    /// Replays a golden recording *through the executor* with `defense`
+    /// installed, asserting byte-identity with the recorded transcript —
+    /// the service path proves it reproduces the scoped path's artifact
+    /// exactly (see [`crate::replay_recording`] for the defense probes).
     ///
     /// # Errors
     ///
@@ -517,16 +518,16 @@ impl CampaignExecutor {
     pub fn replay(
         &self,
         recording: &Recording,
-        target: ReplayTarget,
+        defense: DefenseSpec,
     ) -> Result<ReplayReport, RecordingError> {
         let request = CampaignRequest {
             tenant: "replay".to_string(),
             label: crate::recording::RECORDING_LABEL.to_string(),
             spec: recording.spec.clone(),
-            target,
+            defense,
         };
         let output = self.run(request)?;
-        compare_with_recording(recording, &output.trials, &output.counters, target)
+        compare_with_recording(recording, &output.trials, &output.counters, defense)
     }
 
     /// Point-in-time scheduling and pool gauges.
@@ -700,18 +701,29 @@ mod tests {
         let mut templ =
             RecordingSpec::new(RecordedAttack::Templating(TemplatingAttack::default()), vec![1]);
         templ.threads = 4; // implementation knob: must not split parents
-        let target = ReplayTarget::default();
+        let none = DefenseSpec::None;
         let limits = TenantLimits::default();
         // Same machine + seed, different attack: same parent.
-        assert_eq!(parent_key(&spray, target, 1, &limits), parent_key(&templ, target, 1, &limits));
+        assert_eq!(parent_key(&spray, none, 1, &limits), parent_key(&templ, none, 1, &limits));
         // Different seed: different vulnerability universe, new parent.
-        assert_ne!(parent_key(&spray, target, 1, &limits), parent_key(&spray, target, 2, &limits));
+        assert_ne!(parent_key(&spray, none, 1, &limits), parent_key(&spray, none, 2, &limits));
         // Different machine: new parent.
         let mut bigger = spray.clone();
         bigger.memory_bytes *= 2;
-        assert_ne!(parent_key(&spray, target, 1, &limits), parent_key(&bigger, target, 1, &limits));
+        assert_ne!(parent_key(&spray, none, 1, &limits), parent_key(&bigger, none, 1, &limits));
         // Different byte budget: budgets attach to parents at boot.
         let bounded = TenantLimits { model_cache_bytes: Some(1 << 20), ..limits };
-        assert_ne!(parent_key(&spray, target, 1, &limits), parent_key(&spray, target, 1, &bounded));
+        assert_ne!(parent_key(&spray, none, 1, &limits), parent_key(&spray, none, 1, &bounded));
+        // Different defense: the hook is installed at boot, so a defended
+        // parent must never serve an undefended campaign (or vice versa).
+        let blockhammer = DefenseSpec::BlockHammer(cta_dram::BlockHammerParams::default());
+        assert_ne!(
+            parent_key(&spray, none, 1, &limits),
+            parent_key(&spray, blockhammer, 1, &limits)
+        );
+        // Different map derivation: a different vulnerability universe.
+        let mut counter = spray.clone();
+        counter.map_gen = cta_dram::MapGen::Counter;
+        assert_ne!(parent_key(&spray, none, 1, &limits), parent_key(&counter, none, 1, &limits));
     }
 }

@@ -20,14 +20,17 @@
 //!   CTA systems, with the section 5 attack-time accounting;
 //! - [`catalog()`] — the Table 1 registry of published RowHammer attacks.
 //!
-//! [`campaign`] runs any of these across many seeds — one freshly built
-//! kernel per trial, optionally in parallel with deterministic,
-//! seed-ordered results (see `cta_parallel`). [`executor`] is the
-//! long-running service form of the same contract: parent kernels are
-//! booted once per (machine, seed, tenant) and every trial runs in place
-//! on its parent under an undo journal that is rolled back afterwards,
-//! with campaigns fanned out across a work-stealing worker pool and
-//! merged byte-identically to the serial path.
+//! A campaign runs an attack across many seeds through one trial path.
+//! [`recording::record_campaign`] boots one fresh kernel per trial,
+//! optionally in parallel with deterministic, seed-ordered results (see
+//! `cta_parallel`), and captures every flip; it is the oracle the golden
+//! recordings pin. [`executor`] is the long-running service form of the
+//! same contract: parent kernels are booted once per (machine, seed,
+//! tenant) and every trial runs in place on its parent under an undo
+//! journal that is rolled back afterwards, with campaigns fanned out
+//! across a work-stealing worker pool and merged byte-identically to the
+//! scoped path. [`campaign::CampaignSummary`] folds either path's
+//! outcomes into counts.
 //!
 //! Every attack returns an [`outcome::AttackOutcome`] scoring success by
 //! *observed behavior* (kernel secret leaked / overwritten), cross-checked
@@ -47,10 +50,7 @@ pub mod spray;
 pub mod templating;
 
 pub use brute::BruteForceCtaAttack;
-pub use campaign::{
-    brute_campaign, run_campaign, run_campaign_with_counters, run_forked_campaign,
-    run_forked_campaign_with_counters, spray_campaign, templating_campaign, CampaignSummary,
-};
+pub use campaign::CampaignSummary;
 pub use catalog::{catalog, KnownAttack, Platform, VictimData};
 pub use executor::{
     CampaignExecutor, CampaignOutput, CampaignRequest, CampaignTicket, ExecutorConfig,
@@ -60,7 +60,7 @@ pub use hammer::HammerDriver;
 pub use outcome::{AttackOutcome, AttackTimeModel};
 pub use recording::{
     record_campaign, replay_recording, verify_flip_accounting, RecordedAttack, Recording,
-    RecordingError, RecordingSpec, ReplayReport, ReplayTarget, TrialRecord,
+    RecordingError, RecordingSpec, ReplayReport, TrialRecord,
 };
 pub use spray::SprayAttack;
 pub use templating::TemplatingAttack;

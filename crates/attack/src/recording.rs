@@ -1,17 +1,16 @@
 //! Flip-log record/replay: capture a campaign's complete flip transcript,
-//! then prove either flip engine reproduces it byte for byte.
+//! then prove every later build reproduces it byte for byte.
 //!
 //! The simulator's determinism contract says a campaign is a pure function
 //! of its spec: the same seeds produce the same flips, the same DRAM
-//! contents, and the same telemetry no matter which
-//! [`FlipEngine`](cta_dram::FlipEngine) computes the flips, how many
-//! threads run the trials, or whether a trial runs on a fresh boot, a
-//! fork, or a journaled parent. The differential test suites check that
+//! contents, and the same telemetry no matter how many threads run the
+//! trials, or whether a trial runs on a fresh boot, a fork, or a journaled
+//! parent. The differential test suites check that
 //! contract pairwise at every commit; a [`Recording`] turns it into an
 //! *artifact*: a golden transcript checked into the repository that every
 //! future build must reproduce exactly. A regression that perturbs the
-//! simulation — a reordered hammer loop, an off-by-one in decay windows, an
-//! engine that drifts — fails replay with a positioned mismatch instead
+//! simulation — a reordered hammer loop, an off-by-one in decay windows, a
+//! flip kernel that drifts — fails replay with a positioned mismatch instead
 //! of silently changing every downstream experiment.
 //!
 //! The subsystem exists because the flip log is *bounded*: the
@@ -32,9 +31,11 @@
 //!
 //! What is — and is not — free to vary at replay:
 //!
-//! * **Flip engine, threads**: implementation knobs, recorded nowhere in
-//!   the transcript's meaning; [`ReplayTarget::all`] enumerates both
-//!   engines for exhaustive gates.
+//! * **Threads**: an implementation knob, recorded nowhere in the
+//!   transcript's meaning ([`RecordingSpec::threads`] only sets the
+//!   default schedule).
+//! * **Defense**: a replay may install a [`DefenseSpec`] the recording ran
+//!   without, as a deliberate divergence probe (see [`replay_recording`]).
 //! * **MapGen**: *not* an implementation knob. It selects which
 //!   deterministic vulnerability universe the seed fixes, so it is part of
 //!   the [`RecordingSpec`] and replay always uses the recorded value.
@@ -94,8 +95,8 @@ impl RecordedAttack {
 
 /// Everything needed to re-run a recorded campaign deterministically.
 ///
-/// Implementation knobs (the flip engine) are deliberately absent:
-/// they must not change the transcript, and replay exists to prove it.
+/// The one implementation knob here, `threads`, must not change the
+/// transcript, and replay exists to prove it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecordingSpec {
     /// The attack each trial runs.
@@ -149,11 +150,11 @@ impl RecordingSpec {
         }
     }
 
-    /// The builder for one trial's kernel under implementation `target` —
-    /// the machine every trial of this spec boots (and the machine the
+    /// The builder for one trial's kernel with `defense` installed — the
+    /// machine every trial of this spec boots (and the machine the
     /// persistent executor boots once per tenant/config and journals per
     /// trial).
-    pub fn builder(&self, seed: u64, target: ReplayTarget) -> SystemBuilder {
+    pub fn builder(&self, seed: u64, defense: DefenseSpec) -> SystemBuilder {
         SystemBuilder::new(self.memory_bytes)
             .row_bytes(self.row_bytes)
             .cell_period(self.cell_period_rows)
@@ -163,52 +164,7 @@ impl RecordingSpec {
             .disturbance(self.disturbance)
             .map_gen(self.map_gen)
             .seed(seed)
-            .flip_engine(target.flip_engine)
-            .defense(target.defense)
-    }
-}
-
-/// The implementation combination a replay runs against. The recorded
-/// transcript must be invariant under every choice here.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayTarget {
-    /// Disturbance/decay inner-loop implementation.
-    pub flip_engine: cta_dram::FlipEngine,
-    /// Software defense installed on the trial machines. Golden gates
-    /// replay under the default [`DefenseSpec::None`], which must be
-    /// byte-identical to the recorded (undefended) campaign. Any installed
-    /// defense diverges at least at the telemetry comparison (defended
-    /// kernels emit a `defense` counter group): a pure
-    /// [`DefenseSpec::Observer`] replays the flip transcript, contents,
-    /// clock, and outcome exactly and fails only there, while an *acting*
-    /// defense diverges in the transcript itself. Both are deliberate
-    /// divergence probes, expected to fail with
-    /// [`RecordingError::Mismatch`].
-    pub defense: DefenseSpec,
-}
-
-impl fmt::Display for ReplayTarget {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let engine = match self.flip_engine {
-            cta_dram::FlipEngine::Scalar => "scalar",
-            cta_dram::FlipEngine::Wordwise => "wordwise",
-        };
-        f.write_str(engine)?;
-        if !self.defense.is_none() {
-            write!(f, "+{}", self.defense)?;
-        }
-        Ok(())
-    }
-}
-
-impl ReplayTarget {
-    /// Both flip engines, undefended, for exhaustive gates.
-    #[must_use]
-    pub fn all() -> Vec<ReplayTarget> {
-        [cta_dram::FlipEngine::Scalar, cta_dram::FlipEngine::Wordwise]
-            .into_iter()
-            .map(|flip_engine| ReplayTarget { flip_engine, defense: DefenseSpec::None })
-            .collect()
+            .defense(defense)
     }
 }
 
@@ -244,8 +200,8 @@ pub struct Recording {
 /// Result of a successful replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayReport {
-    /// The implementation combination that reproduced the recording.
-    pub target: ReplayTarget,
+    /// The defense installed on the replayed machines.
+    pub defense: DefenseSpec,
     /// Trials replayed.
     pub trials: usize,
     /// Total flip events verified byte-identical.
@@ -358,18 +314,19 @@ impl From<json::JsonError> for RecordingError {
     }
 }
 
-/// Runs one trial under `target` and captures its full observable record
-/// plus a telemetry shard and the number of flip events the bounded log
-/// dropped (nonzero means the record's transcript is incomplete). Counter
-/// capture happens *before* the flip log is drained (so the
-/// `flip_log_retained` gauge reflects the trial), and record/replay share
-/// this function, so the order is identical on both sides by construction.
+/// Runs one trial with `defense` installed and captures its full
+/// observable record plus a telemetry shard and the number of flip events
+/// the bounded log dropped (nonzero means the record's transcript is
+/// incomplete). Counter capture happens *before* the flip log is drained
+/// (so the `flip_log_retained` gauge reflects the trial), and record/replay
+/// share this function, so the order is identical on both sides by
+/// construction.
 fn run_trial(
     spec: &RecordingSpec,
-    target: ReplayTarget,
+    defense: DefenseSpec,
     seed: u64,
 ) -> Result<(TrialRecord, Counters, u64), RecordingError> {
-    let mut kernel = spec.builder(seed, target).build()?;
+    let mut kernel = spec.builder(seed, defense).build()?;
     run_trial_on(&mut kernel, spec, seed)
 }
 
@@ -396,17 +353,17 @@ pub(crate) fn run_trial_on(
     Ok((record, shard, dropped))
 }
 
-/// Runs every trial of `spec` under `target`, in seed order, enforcing
-/// the lossless-transcript requirement per trial.
+/// Runs every trial of `spec` with `defense` installed, in seed order,
+/// enforcing the lossless-transcript requirement per trial.
 fn run_trials(
     spec: &RecordingSpec,
-    target: ReplayTarget,
+    defense: DefenseSpec,
 ) -> Result<(Vec<TrialRecord>, Counters), RecordingError> {
     if spec.flip_log_capacity == 0 {
         return Err(RecordingError::RetentionDisabled);
     }
     let shards = cta_parallel::try_parallel_map(spec.seeds.len(), spec.threads.max(1), |i| {
-        run_trial(spec, target, spec.seeds[i])
+        run_trial(spec, defense, spec.seeds[i])
     })?;
 
     let mut counters = Counters::new(RECORDING_LABEL);
@@ -481,8 +438,7 @@ pub fn verify_flip_accounting(
     Ok(())
 }
 
-/// Records a campaign: runs `spec` under the default implementation
-/// target and captures the complete flip transcript, final contents hash,
+/// Records a campaign: runs `spec` on undefended machines and captures the complete flip transcript, final contents hash,
 /// clock, outcome, and merged telemetry per trial.
 ///
 /// # Errors
@@ -492,17 +448,27 @@ pub fn verify_flip_accounting(
 /// wrapped; [`RecordingError::Accounting`] on counter/transcript drift;
 /// [`RecordingError::Vm`] when a trial fails to build or run.
 pub fn record_campaign(spec: &RecordingSpec) -> Result<Recording, RecordingError> {
-    let (trials, counters) = run_trials(spec, ReplayTarget::default())?;
+    let (trials, counters) = run_trials(spec, DefenseSpec::None)?;
     verify_flip_accounting(&counters, &trials)?;
     let telemetry = json::parse(&counters.to_json())?;
     Ok(Recording { spec: spec.clone(), trials, telemetry })
 }
 
-/// Replays a recording under `target`, asserting every observable matches
-/// byte for byte: the flip transcript (row, bit, direction, timestamp of
-/// every event), the final DRAM contents hash, the simulated clock, the
-/// attack outcome (including its phase log), and the merged telemetry
-/// snapshot. Also re-verifies the flip-accounting invariant.
+/// Replays a recording with `defense` installed, asserting every
+/// observable matches byte for byte: the flip transcript (row, bit,
+/// direction, timestamp of every event), the final DRAM contents hash, the
+/// simulated clock, the attack outcome (including its phase log), and the
+/// merged telemetry snapshot. Also re-verifies the flip-accounting
+/// invariant.
+///
+/// Golden gates replay with [`DefenseSpec::None`], which must be
+/// byte-identical to the recorded (undefended) campaign. Any installed
+/// defense diverges at least at the telemetry comparison (defended kernels
+/// emit a `defense` counter group): a pure [`DefenseSpec::Observer`]
+/// replays the flip transcript, contents, clock, and outcome exactly and
+/// fails only there, while an *acting* defense diverges in the transcript
+/// itself. Both are deliberate divergence probes, expected to fail with
+/// [`RecordingError::Mismatch`].
 ///
 /// # Errors
 ///
@@ -510,10 +476,10 @@ pub fn record_campaign(spec: &RecordingSpec) -> Result<Recording, RecordingError
 /// [`record_campaign`] can raise.
 pub fn replay_recording(
     recording: &Recording,
-    target: ReplayTarget,
+    defense: DefenseSpec,
 ) -> Result<ReplayReport, RecordingError> {
-    let (trials, counters) = run_trials(&recording.spec, target)?;
-    compare_with_recording(recording, &trials, &counters, target)
+    let (trials, counters) = run_trials(&recording.spec, defense)?;
+    compare_with_recording(recording, &trials, &counters, defense)
 }
 
 /// The replay comparison proper, shared by [`replay_recording`] and the
@@ -524,7 +490,7 @@ pub(crate) fn compare_with_recording(
     recording: &Recording,
     trials: &[TrialRecord],
     counters: &Counters,
-    target: ReplayTarget,
+    defense: DefenseSpec,
 ) -> Result<ReplayReport, RecordingError> {
     verify_flip_accounting(counters, trials)?;
 
@@ -581,7 +547,7 @@ pub(crate) fn compare_with_recording(
     }
 
     Ok(ReplayReport {
-        target,
+        defense,
         trials: trials.len(),
         flips_verified: trials.iter().map(|t| t.flips.len() as u64).sum(),
     })
@@ -988,13 +954,6 @@ mod tests {
             num("x", (1 << 53) + 1),
             Err(RecordingError::Unrepresentable { what: "x", .. })
         ));
-    }
-
-    #[test]
-    fn replay_target_grid_covers_both_engines() {
-        let all = ReplayTarget::all();
-        let names: Vec<String> = all.iter().map(|t| t.to_string()).collect();
-        assert_eq!(names, ["scalar", "wordwise"]);
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn replaying_a_recording_through_the_executor_verifies_byte_identity() {
     for workers in [1, 3] {
         let exec = CampaignExecutor::new(ExecutorConfig { workers, parents_per_worker: 2 });
         let report = exec
-            .replay(&recording, cta_attack::ReplayTarget::default())
+            .replay(&recording, cta_core::DefenseSpec::None)
             .expect("executor replay is byte-identical");
         assert_eq!(report.trials, 2);
     }

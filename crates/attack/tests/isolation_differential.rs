@@ -5,7 +5,7 @@
 //! an undo journal and rolls it back. Its determinism contract says this
 //! is invisible: transcripts, merged counters, summaries and contents
 //! hashes must be byte-identical to [`record_campaign`], which boots a
-//! fresh machine per trial, under either flip engine.
+//! fresh machine per trial.
 //! These tests pin that with the scoped path as the oracle, plus the
 //! cancellation path and the tenant-limits gauge a rollback must leave
 //! untouched.
@@ -16,8 +16,7 @@ use std::sync::{Arc, Mutex};
 use cta_attack::recording::RECORDING_LABEL;
 use cta_attack::{
     record_campaign, CampaignExecutor, CampaignRequest, CampaignSummary, ExecutorConfig,
-    RecordedAttack, Recording, RecordingSpec, ReplayTarget, SprayAttack, TemplatingAttack,
-    TenantLimits,
+    RecordedAttack, Recording, RecordingSpec, SprayAttack, TemplatingAttack, TenantLimits,
 };
 use cta_telemetry::json;
 use cta_telemetry::schema::validate_executor_event;
@@ -66,16 +65,14 @@ impl Write for SharedSink {
     }
 }
 
-/// Runs `golden`'s spec through a fresh executor under `target` and
-/// asserts the output equals the scoped recording: transcripts (flips,
-/// contents hashes, clocks, outcomes), summary and merged telemetry.
-/// Returns the pool hits: trials served by a parent that already ran one.
-fn assert_matches_scoped(golden: &Recording, target: ReplayTarget, workers: usize) -> u64 {
+/// Runs `golden`'s spec through a fresh executor and asserts the output
+/// equals the scoped recording: transcripts (flips, contents hashes,
+/// clocks, outcomes), summary and merged telemetry. Returns the pool hits:
+/// trials served by a parent that already ran one.
+fn assert_matches_scoped(golden: &Recording, workers: usize) -> u64 {
     let exec = CampaignExecutor::new(ExecutorConfig { workers, parents_per_worker: 2 });
-    let mut req = request("tenant", golden.spec.clone());
-    req.target = target;
-    let output = exec.run(req).expect("campaign completes");
-    let what = format!("{target} at {workers} workers");
+    let output = exec.run(request("tenant", golden.spec.clone())).expect("campaign completes");
+    let what = format!("{workers} workers");
     for (got, want) in output.trials.iter().zip(&golden.trials) {
         assert_eq!(
             got.contents_hash, want.contents_hash,
@@ -94,16 +91,14 @@ fn assert_matches_scoped(golden: &Recording, target: ReplayTarget, workers: usiz
 }
 
 #[test]
-fn journaled_trials_match_the_scoped_path_on_every_flip_engine() {
+fn journaled_trials_match_the_scoped_path() {
     // Two trials per seed value so repeat trials are served from a
     // rolled-back parent (the case a leaky rollback would corrupt).
     let golden = record_campaign(&small_spec(vec![0, 1, 0, 1])).expect("scoped path records");
-    for target in ReplayTarget::all() {
-        // One worker serves every trial from its own pool: both repeats
-        // must be pool hits on a parent that already ran a trial.
-        assert_eq!(assert_matches_scoped(&golden, target, 1), 2, "{target}: rollback reuse");
-        assert_matches_scoped(&golden, target, 2);
-    }
+    // One worker serves every trial from its own pool: both repeats must
+    // be pool hits on a parent that already ran a trial.
+    assert_eq!(assert_matches_scoped(&golden, 1), 2, "rollback reuse");
+    assert_matches_scoped(&golden, 2);
 }
 
 #[test]
@@ -116,7 +111,7 @@ fn journaled_trials_match_the_scoped_path_for_the_templating_attack() {
     spec.ptp_bytes = 256 << 10;
     spec.profile_cells = true;
     let golden = record_campaign(&spec).expect("scoped path records");
-    assert_eq!(assert_matches_scoped(&golden, ReplayTarget::default(), 1), 1);
+    assert_eq!(assert_matches_scoped(&golden, 1), 1);
 }
 
 #[test]
@@ -138,7 +133,8 @@ fn tenant_limit_gauge_matches_freshly_booted_parents() {
         .seeds
         .iter()
         .map(|&seed| {
-            let mut parent = spec.builder(seed, ReplayTarget::default()).build().expect("boots");
+            let mut parent =
+                spec.builder(seed, cta_core::DefenseSpec::None).build().expect("boots");
             parent.dram_mut().set_model_cache_bytes(budget);
             parent.dram().model_cache_bytes() as u64
         })

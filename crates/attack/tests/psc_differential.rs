@@ -68,7 +68,7 @@ fn assert_machines_identical(with_psc: &Kernel, without_psc: &Kernel, ctx: &str)
 }
 
 #[test]
-fn spray_campaign_is_bit_identical_with_and_without_psc() {
+fn spray_attack_is_bit_identical_with_and_without_psc() {
     let attack = SprayAttack { flush_per_probe: true, ..SprayAttack::default() };
     for seed in [0u64, 3, 5] {
         let (mut with_psc, mut without_psc) = machines(seed, 0.05);
@@ -80,7 +80,7 @@ fn spray_campaign_is_bit_identical_with_and_without_psc() {
 }
 
 #[test]
-fn templating_campaign_is_bit_identical_with_and_without_psc() {
+fn templating_attack_is_bit_identical_with_and_without_psc() {
     let attack = TemplatingAttack { flush_per_probe: true, ..TemplatingAttack::default() };
     for seed in [0u64, 1] {
         let (mut with_psc, mut without_psc) = machines(seed, 0.004);

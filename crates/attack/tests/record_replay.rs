@@ -1,19 +1,19 @@
-//! Record/replay backbone: a recorded campaign must replay byte-identically
-//! under either flip engine, a lossy or retention-disabled
+//! Record/replay backbone: a recorded campaign must replay byte-identically,
+//! a lossy or retention-disabled
 //! recording must be rejected loudly, the serialized form must round-trip
 //! through the strict JSON layer, and any tampering with the transcript
 //! must be detected.
 
 use cta_attack::{
     record_campaign, replay_recording, verify_flip_accounting, RecordedAttack, Recording,
-    RecordingError, RecordingSpec, ReplayTarget, SprayAttack, TemplatingAttack,
+    RecordingError, RecordingSpec, SprayAttack, TemplatingAttack,
 };
 use cta_core::DefenseSpec;
 use cta_dram::{BlockHammerParams, FlipDirection};
 
 /// A deliberately small spray campaign: two trials, narrow spray, few
 /// hammer rows — enough to induce flips at `pf = 0.05` while keeping the
-/// 6-target replay grid fast.
+/// replays fast.
 fn small_spray_spec() -> RecordingSpec {
     let attack =
         SprayAttack { regions: 8, file_pages: 2, max_hammer_rows: 4, flush_per_probe: false };
@@ -26,30 +26,24 @@ fn small_templating_spec() -> RecordingSpec {
 }
 
 #[test]
-fn spray_recording_replays_identically_on_every_engine() {
+fn spray_recording_replays_identically() {
     let recording = record_campaign(&small_spray_spec()).unwrap();
     assert_eq!(recording.trials.len(), 2);
     let total_flips: u64 = recording.trials.iter().map(|t| t.flips.len() as u64).sum();
     assert!(total_flips > 0, "a recording with zero flips proves nothing");
 
-    for target in ReplayTarget::all() {
-        let report = replay_recording(&recording, target)
-            .unwrap_or_else(|e| panic!("replay failed on {target}: {e}"));
-        assert_eq!(report.trials, 2, "{target}");
-        assert_eq!(report.flips_verified, total_flips, "{target}");
-    }
+    let report = replay_recording(&recording, DefenseSpec::None)
+        .unwrap_or_else(|e| panic!("replay failed: {e}"));
+    assert_eq!(report.trials, 2);
+    assert_eq!(report.flips_verified, total_flips);
+    assert_eq!(report.defense, DefenseSpec::None);
 }
 
 #[test]
 fn templating_recording_replays_identically() {
     let recording = record_campaign(&small_templating_spec()).unwrap();
-    for target in [
-        ReplayTarget::default(),
-        ReplayTarget { flip_engine: cta_dram::FlipEngine::Scalar, defense: DefenseSpec::None },
-    ] {
-        replay_recording(&recording, target)
-            .unwrap_or_else(|e| panic!("replay failed on {target}: {e}"));
-    }
+    replay_recording(&recording, DefenseSpec::None)
+        .unwrap_or_else(|e| panic!("replay failed: {e}"));
 }
 
 #[test]
@@ -84,7 +78,7 @@ fn replay_rejects_a_lossy_capacity_override_too() {
     // capacity must fail replay the same way, not assert on garbage.
     let mut recording = record_campaign(&small_spray_spec()).unwrap();
     recording.spec.flip_log_capacity = 1;
-    match replay_recording(&recording, ReplayTarget::default()) {
+    match replay_recording(&recording, DefenseSpec::None) {
         Err(RecordingError::LossyFlipLog { .. }) => {}
         other => panic!("expected LossyFlipLog, got {other:?}"),
     }
@@ -97,7 +91,7 @@ fn serialized_recording_round_trips_exactly() {
     let parsed = Recording::from_json_str(&json).unwrap();
     assert_eq!(parsed, recording, "JSON round-trip must be lossless");
     // And the round-tripped recording still replays.
-    replay_recording(&parsed, ReplayTarget::default()).unwrap();
+    replay_recording(&parsed, DefenseSpec::None).unwrap();
     // Strictness: the serialized form itself re-parses through the strict
     // JSON layer (no duplicate keys, finite numbers, no trailing junk).
     cta_telemetry::json::parse(&json).unwrap();
@@ -113,7 +107,7 @@ fn tampered_flip_transcript_fails_replay() {
         FlipDirection::OneToZero => FlipDirection::ZeroToOne,
         FlipDirection::ZeroToOne => FlipDirection::OneToZero,
     };
-    match replay_recording(&recording, ReplayTarget::default()) {
+    match replay_recording(&recording, DefenseSpec::None) {
         Err(RecordingError::Mismatch { seed: s, what: "flip transcript", detail }) => {
             assert_eq!(s, seed);
             assert!(detail.contains("event 0"), "{detail}");
@@ -126,7 +120,7 @@ fn tampered_flip_transcript_fails_replay() {
 fn tampered_contents_hash_fails_replay() {
     let mut recording = record_campaign(&small_spray_spec()).unwrap();
     recording.trials[0].contents_hash ^= 1;
-    match replay_recording(&recording, ReplayTarget::default()) {
+    match replay_recording(&recording, DefenseSpec::None) {
         Err(RecordingError::Mismatch { what: "contents hash", .. }) => {}
         other => panic!("expected contents-hash mismatch, got {other:?}"),
     }
@@ -141,7 +135,7 @@ fn tampered_telemetry_fails_replay() {
         1,
     );
     recording.telemetry = cta_telemetry::json::parse(&json).unwrap();
-    match replay_recording(&recording, ReplayTarget::default()) {
+    match replay_recording(&recording, DefenseSpec::None) {
         Err(RecordingError::Mismatch { what: "telemetry snapshot", .. }) => {}
         other => panic!("expected telemetry mismatch, got {other:?}"),
     }
@@ -221,13 +215,12 @@ fn golden_fixtures() -> Vec<(String, Recording)> {
 
 #[test]
 fn golden_fixtures_replay_byte_identically_under_explicit_no_defense() {
-    // The defense refactor's determinism contract: a replay target that
-    // names `DefenseSpec::None` explicitly takes the pre-refactor code
-    // path bit for bit, so the pre-refactor golden recordings replay
-    // unchanged — transcript, contents hash, clock, outcome, telemetry.
-    let target = ReplayTarget { defense: DefenseSpec::None, ..ReplayTarget::default() };
+    // The defense refactor's determinism contract: a replay that names
+    // `DefenseSpec::None` explicitly takes the undefended code path bit
+    // for bit, so the golden recordings replay unchanged — transcript,
+    // contents hash, clock, outcome, telemetry.
     for (name, recording) in golden_fixtures() {
-        let report = replay_recording(&recording, target)
+        let report = replay_recording(&recording, DefenseSpec::None)
             .unwrap_or_else(|e| panic!("golden fixture {name} diverged under None: {e}"));
         assert_eq!(report.trials, recording.trials.len(), "{name}");
     }
@@ -240,8 +233,7 @@ fn observer_defense_replays_the_transcript_but_marks_the_telemetry() {
     // and the only divergence is the campaign telemetry, where the
     // defended kernel emits its `defense` counter group.
     let recording = record_campaign(&small_spray_spec()).unwrap();
-    let target = ReplayTarget { defense: DefenseSpec::Observer, ..ReplayTarget::default() };
-    match replay_recording(&recording, target) {
+    match replay_recording(&recording, DefenseSpec::Observer) {
         Err(RecordingError::Mismatch { what: "telemetry snapshot", .. }) => {}
         other => panic!("expected telemetry-only divergence, got {other:?}"),
     }
@@ -250,12 +242,8 @@ fn observer_defense_replays_the_transcript_but_marks_the_telemetry() {
 #[test]
 fn an_acting_defense_diverges_in_the_flip_transcript_itself() {
     let recording = record_campaign(&small_spray_spec()).unwrap();
-    let target = ReplayTarget {
-        defense: DefenseSpec::BlockHammer(BlockHammerParams::default()),
-        ..ReplayTarget::default()
-    };
-    assert_eq!(target.to_string(), format!("{}+blockhammer", ReplayTarget::default()));
-    match replay_recording(&recording, target) {
+    let blockhammer = DefenseSpec::BlockHammer(BlockHammerParams::default());
+    match replay_recording(&recording, blockhammer) {
         Err(RecordingError::Mismatch { .. }) => {}
         Ok(_) => panic!("a throttling defense must not reproduce an undefended recording"),
         Err(other) => panic!("expected a replay mismatch, got {other:?}"),

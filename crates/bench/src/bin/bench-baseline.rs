@@ -24,8 +24,8 @@ use cta_analysis::{
     monte_carlo_p_exploitable, monte_carlo_p_exploitable_sharded, FlipStats, Restriction,
 };
 use cta_attack::{
-    record_campaign, run_campaign, run_forked_campaign, CampaignExecutor, CampaignRequest,
-    ExecutorConfig, RecordedAttack, RecordingSpec, SprayAttack, TenantLimits,
+    record_campaign, CampaignExecutor, CampaignRequest, ExecutorConfig, RecordedAttack,
+    RecordingSpec, SprayAttack, TenantLimits,
 };
 use cta_bench::{emit_telemetry, header, kv};
 use cta_core::SystemBuilder;
@@ -266,23 +266,25 @@ fn bench_fork_campaign(quick: bool, metrics: &mut Vec<(String, f64)>) {
     // Same module (constant seed) every trial, identical by determinism.
     // Boot is the realistic profiled-CTA boot — the profiler writes and
     // decays every row, which is exactly the cost forking amortizes away.
-    let build = |seed: u64| {
+    let build = || {
         SystemBuilder::new(8 << 20)
             .ptp_bytes(512 * 1024)
-            .seed(seed)
+            .seed(11)
             .protected(true)
             .profile_cells(true)
             .disturbance(DisturbanceParams { pf: 0.05, ..DisturbanceParams::default() })
             .build()
     };
-    let seeds = vec![11u64; trials];
     let start = Instant::now();
-    let rebooted = run_campaign(&seeds, 1, build, |k| attack.run(k)).expect("campaign runs");
+    let rebooted: Vec<_> = (0..trials)
+        .map(|_| attack.run(&mut build().expect("trial boots")).expect("trial runs"))
+        .collect();
     let reboot_rate = trials as f64 / start.elapsed().as_secs_f64();
 
-    let parent = build(11).expect("parent boots");
+    let parent = build().expect("parent boots");
     let start = Instant::now();
-    let forked = run_forked_campaign(&parent, trials, |_, k| attack.run(k)).expect("campaign runs");
+    let forked: Vec<_> =
+        (0..trials).map(|_| attack.run(&mut parent.fork()).expect("trial runs")).collect();
     let fork_rate = trials as f64 / start.elapsed().as_secs_f64();
     assert_eq!(forked, rebooted, "fork-per-trial must equal reboot-per-trial");
 
@@ -291,133 +293,103 @@ fn bench_fork_campaign(quick: bool, metrics: &mut Vec<(String, f64)>) {
     metrics.push(("campaign_fork_speedup".into(), fork_rate / reboot_rate));
 }
 
-/// The disturbance/decay inner loops, wordwise engine vs the scalar
-/// reference, on a dense vulnerability map (`pf = 0.4`, ~13k vulnerable
-/// bits per 4 KiB row — the shape where the per-bit scalar scan dominates
-/// a hammering campaign). Three throughputs per engine:
+/// The disturbance/decay inner loops on a dense vulnerability map
+/// (`pf = 0.4`, ~13k vulnerable bits per 4 KiB row — the shape where
+/// disturbance dominates a hammering campaign). Three throughputs:
 ///
 /// * `disturb_ops_per_sec` — steady-state disturbs of saturated rows (the
-///   spray-campaign hot loop: almost no bit fires, but the scalar engine
-///   still visits every vulnerable bit while the wordwise engine visits
-///   only the compiled mask words);
+///   spray-campaign hot loop: almost no bit fires, and the bitplane kernel
+///   visits only the compiled mask words);
 /// * `hammer_flips_per_sec` — flips delivered when victims are recharged
 ///   before every burst (the templating hot loop);
 /// * `decay_sweep_mb_per_sec` — full-window retention decay across every
 ///   materialized row after a refresh outage.
-///
-/// The `_scalar` twins and `flip_engine_*_speedup` ratios make the
-/// engine's advantage a recorded, regeneratable number. Both engines are
-/// driven through identical deterministic workloads, so the flip counts
-/// they produce are equal (the differential suites prove bit-identity);
-/// only the wall clock differs.
-fn bench_flip_engine(quick: bool, metrics: &mut Vec<(String, f64)>) {
-    use cta_dram::{AddressMapping, CellLayout, CellType, DramGeometry, FlipEngine, RowId};
+fn bench_flip_model(quick: bool, metrics: &mut Vec<(String, f64)>) {
+    use cta_dram::{AddressMapping, CellLayout, CellType, DramGeometry, RowId};
     let rows: u64 = 256;
-    let config = |engine: FlipEngine| {
-        DramConfig {
-            geometry: DramGeometry::new(4096, rows, 1, AddressMapping::RowLinear),
-            layout: CellLayout::Alternating { period_rows: 8, first: CellType::True },
-            disturbance: DisturbanceParams { pf: 0.4, ..DisturbanceParams::default() },
-            ..DramConfig::small_test()
-        }
-        .with_flip_engine(engine)
+    let config = DramConfig {
+        geometry: DramGeometry::new(4096, rows, 1, AddressMapping::RowLinear),
+        layout: CellLayout::Alternating { period_rows: 8, first: CellType::True },
+        disturbance: DisturbanceParams { pf: 0.4, ..DisturbanceParams::default() },
+        ..DramConfig::small_test()
     };
     let disturb_iters = if quick { 1_500 } else { 15_000 };
     let decay_sweeps = if quick { 3 } else { 10 };
-    let mut rates: Vec<(f64, f64, f64)> = Vec::new();
 
-    for (suffix, engine) in [("", FlipEngine::Wordwise), ("_scalar", FlipEngine::Scalar)] {
-        let mut m = DramModule::new(config(engine));
-        let capacity = m.capacity_bytes();
-        m.fill(0, capacity as usize, 0x5A).unwrap();
-        let victim = |i: u64| RowId(1 + i % (rows - 2));
+    let mut m = DramModule::new(config);
+    let capacity = m.capacity_bytes();
+    m.fill(0, capacity as usize, 0x5A).unwrap();
+    let victim = |i: u64| RowId(1 + i % (rows - 2));
 
-        // Warm-up pass saturates every row and compiles every bit map (and,
-        // for the wordwise engine, every plane) before the clock starts.
-        for i in 0..rows {
-            m.hammer_to_threshold(victim(i)).unwrap();
-        }
-
-        let before = m.stats().disturbances;
-        let start = Instant::now();
-        for i in 0..disturb_iters {
-            m.hammer_to_threshold(victim(i)).unwrap();
-        }
-        let disturb_rate = (m.stats().disturbances - before) as f64 / start.elapsed().as_secs_f64();
-        metrics.push((format!("disturb_ops_per_sec{suffix}"), disturb_rate));
-
-        // Recharge the victim band before each burst so flips keep firing.
-        let row_bytes = m.geometry().row_bytes();
-        let flips_before = m.stats().total_flips();
-        let start = Instant::now();
-        for i in 0..disturb_iters / 8 {
-            let v = victim(i * 3);
-            m.fill((v.0 - 1) * row_bytes, 3 * row_bytes as usize, 0x5A).unwrap();
-            m.hammer_to_threshold(v).unwrap();
-        }
-        let flips_rate =
-            (m.stats().total_flips() - flips_before) as f64 / start.elapsed().as_secs_f64();
-        metrics.push((format!("hammer_flips_per_sec{suffix}"), flips_rate));
-
-        // Full-window outages: every materialized row decays end to end.
-        let outage = m.config().retention.max_ns + 1;
-        let start = Instant::now();
-        for _ in 0..decay_sweeps {
-            m.disable_refresh();
-            m.advance(outage);
-            m.enable_refresh();
-        }
-        let decay_rate =
-            decay_sweeps as f64 * capacity as f64 / start.elapsed().as_secs_f64() / 1e6;
-        metrics.push((format!("decay_sweep_mb_per_sec{suffix}"), decay_rate));
-        rates.push((disturb_rate, flips_rate, decay_rate));
+    // Warm-up pass saturates every row and compiles every bit map and
+    // plane before the clock starts.
+    for i in 0..rows {
+        m.hammer_to_threshold(victim(i)).unwrap();
     }
 
-    let (wordwise, scalar) = (rates[0], rates[1]);
-    metrics.push(("flip_engine_disturb_speedup".into(), wordwise.0 / scalar.0));
-    metrics.push(("flip_engine_hammer_speedup".into(), wordwise.1 / scalar.1));
-    metrics.push(("flip_engine_decay_speedup".into(), wordwise.2 / scalar.2));
+    let before = m.stats().disturbances;
+    let start = Instant::now();
+    for i in 0..disturb_iters {
+        m.hammer_to_threshold(victim(i)).unwrap();
+    }
+    let disturb_rate = (m.stats().disturbances - before) as f64 / start.elapsed().as_secs_f64();
+    metrics.push(("disturb_ops_per_sec".into(), disturb_rate));
+
+    // Recharge the victim band before each burst so flips keep firing.
+    let row_bytes = m.geometry().row_bytes();
+    let flips_before = m.stats().total_flips();
+    let start = Instant::now();
+    for i in 0..disturb_iters / 8 {
+        let v = victim(i * 3);
+        m.fill((v.0 - 1) * row_bytes, 3 * row_bytes as usize, 0x5A).unwrap();
+        m.hammer_to_threshold(v).unwrap();
+    }
+    let flips_rate =
+        (m.stats().total_flips() - flips_before) as f64 / start.elapsed().as_secs_f64();
+    metrics.push(("hammer_flips_per_sec".into(), flips_rate));
+
+    // Full-window outages: every materialized row decays end to end.
+    let outage = m.config().retention.max_ns + 1;
+    let start = Instant::now();
+    for _ in 0..decay_sweeps {
+        m.disable_refresh();
+        m.advance(outage);
+        m.enable_refresh();
+    }
+    let decay_rate = decay_sweeps as f64 * capacity as f64 / start.elapsed().as_secs_f64() / 1e6;
+    metrics.push(("decay_sweep_mb_per_sec".into(), decay_rate));
 }
 
 /// The wordwise generation data plane (PR 6): chunked span fill, dense
 /// counter-mode vulnerability-map compilation, dense-map boot, and
-/// indexed partial-window decay — wordwise engine vs the scalar per-bit
-/// reference, on `MapGen::Counter` maps at templating-stress density
-/// (`pf = 0.4`, ~13k vulnerable bits per 4 KiB row):
+/// indexed partial-window decay, on `MapGen::Counter` maps at
+/// templating-stress density (`pf = 0.4`, ~13k vulnerable bits per 4 KiB
+/// row):
 ///
 /// * `dram_fill_mb_per_sec` — whole-capacity fills through the chunked
-///   span path (engine-independent; `memset` per row span);
+///   span path (`memset` per row span);
 /// * `vuln_map_rows_per_sec` — first-build map compilation throughput
-///   (the block generator's one-mix-per-cell batched Bernoulli against
-///   the scalar three-mix `hash3` float compare);
+///   (the block generator's one-mix-per-cell batched Bernoulli);
 /// * `boot_dense_ms` — a cold boot of the dense module: construct, fill
 ///   every row, compile every map, then take one partial-window refresh
 ///   outage (first-build decay masks through the sorted retention index);
 /// * `partial_decay_mb_per_sec` — steady-state partial-window outages at
-///   distinct elapsed buckets: every sweep rebuilds its masks, so the
-///   scalar engine re-hashes every cell while the wordwise engine binary-
-///   searches the per-row index it built once.
-///
-/// As in [`bench_flip_engine`], the `_scalar` twins and `datapath_*_speedup`
-/// ratios make the advantage a recorded, regeneratable number, and the
-/// differential suites prove the twins compute bit-identical results.
+///   distinct elapsed buckets: every sweep rebuilds its masks by binary-
+///   searching the per-row index built once.
 fn bench_datapath(quick: bool, metrics: &mut Vec<(String, f64)>) {
-    use cta_dram::{AddressMapping, CellLayout, CellType, DramGeometry, FlipEngine, MapGen, RowId};
+    use cta_dram::{AddressMapping, CellLayout, CellType, DramGeometry, MapGen, RowId};
     // 128 rows × 256 KiB of index stays inside the 64 MiB index budget, so
     // the steady-state decay sweeps measure index reuse, not thrash.
     let rows: u64 = if quick { 64 } else { 128 };
-    let config = |engine: FlipEngine| {
-        DramConfig {
-            geometry: DramGeometry::new(4096, rows, 1, AddressMapping::RowLinear),
-            layout: CellLayout::Alternating { period_rows: 8, first: CellType::True },
-            disturbance: DisturbanceParams { pf: 0.4, ..DisturbanceParams::default() },
-            ..DramConfig::small_test()
-        }
-        .with_map_gen(MapGen::Counter)
-        .with_flip_engine(engine)
-    };
+    let config = DramConfig {
+        geometry: DramGeometry::new(4096, rows, 1, AddressMapping::RowLinear),
+        layout: CellLayout::Alternating { period_rows: 8, first: CellType::True },
+        disturbance: DisturbanceParams { pf: 0.4, ..DisturbanceParams::default() },
+        ..DramConfig::small_test()
+    }
+    .with_map_gen(MapGen::Counter);
 
-    // Chunked whole-capacity fills (span path, engine-independent).
+    // Chunked whole-capacity fills (span path).
     let mut m = DramModule::new(DramConfig::small_test());
     let cap = m.capacity_bytes() as usize;
     let fills = if quick { 400 } else { 4_000 };
@@ -428,55 +400,46 @@ fn bench_datapath(quick: bool, metrics: &mut Vec<(String, f64)>) {
     let fill_rate = fills as f64 * cap as f64 / start.elapsed().as_secs_f64() / 1e6;
     metrics.push(("dram_fill_mb_per_sec".into(), fill_rate));
 
-    let mut rates: Vec<(f64, f64, f64)> = Vec::new();
-    for (suffix, engine) in [("", FlipEngine::Wordwise), ("_scalar", FlipEngine::Scalar)] {
-        // First-build map compilation: fresh module per pass, so every
-        // `vulnerable_bits` call derives its row from scratch.
-        let passes = if quick { 2 } else { 8 };
-        let start = Instant::now();
-        for _ in 0..passes {
-            let mut m = DramModule::new(config(engine));
-            for row in 0..rows {
-                std::hint::black_box(m.vulnerable_bits(RowId(row)).unwrap());
-            }
-        }
-        let map_rate = (passes * rows) as f64 / start.elapsed().as_secs_f64();
-        metrics.push((format!("vuln_map_rows_per_sec{suffix}"), map_rate));
-
-        // Dense boot: construct, fill, compile every map, one partial-
-        // window outage.
-        let start = Instant::now();
-        let mut m = DramModule::new(config(engine));
-        let capacity = m.capacity_bytes();
-        m.fill(0, capacity as usize, 0xFF).unwrap();
+    // First-build map compilation: fresh module per pass, so every
+    // `vulnerable_bits` call derives its row from scratch.
+    let passes = if quick { 2 } else { 8 };
+    let start = Instant::now();
+    for _ in 0..passes {
+        let mut m = DramModule::new(config.clone());
         for row in 0..rows {
             std::hint::black_box(m.vulnerable_bits(RowId(row)).unwrap());
         }
-        let p = m.config().retention;
-        m.disable_refresh();
-        m.advance(p.min_ns + (p.max_ns - p.min_ns) / 2);
-        m.enable_refresh();
-        let boot_ms = start.elapsed().as_secs_f64() * 1e3;
-        metrics.push((format!("boot_dense_ms{suffix}"), boot_ms));
-
-        // Steady-state partial-window outages, each at a fresh elapsed
-        // bucket so the expired-mask memo never hits.
-        let sweeps = if quick { 4 } else { 16 };
-        let start = Instant::now();
-        for i in 0..sweeps {
-            m.disable_refresh();
-            m.advance(p.min_ns + (p.max_ns - p.min_ns) / 4 + i);
-            m.enable_refresh();
-        }
-        let decay_rate = sweeps as f64 * capacity as f64 / start.elapsed().as_secs_f64() / 1e6;
-        metrics.push((format!("partial_decay_mb_per_sec{suffix}"), decay_rate));
-        rates.push((map_rate, boot_ms, decay_rate));
     }
+    let map_rate = (passes * rows) as f64 / start.elapsed().as_secs_f64();
+    metrics.push(("vuln_map_rows_per_sec".into(), map_rate));
 
-    let (wordwise, scalar) = (rates[0], rates[1]);
-    metrics.push(("datapath_vuln_map_speedup".into(), wordwise.0 / scalar.0));
-    metrics.push(("datapath_boot_dense_speedup".into(), scalar.1 / wordwise.1));
-    metrics.push(("datapath_partial_decay_speedup".into(), wordwise.2 / scalar.2));
+    // Dense boot: construct, fill, compile every map, one partial-window
+    // outage.
+    let start = Instant::now();
+    let mut m = DramModule::new(config);
+    let capacity = m.capacity_bytes();
+    m.fill(0, capacity as usize, 0xFF).unwrap();
+    for row in 0..rows {
+        std::hint::black_box(m.vulnerable_bits(RowId(row)).unwrap());
+    }
+    let p = m.config().retention;
+    m.disable_refresh();
+    m.advance(p.min_ns + (p.max_ns - p.min_ns) / 2);
+    m.enable_refresh();
+    let boot_ms = start.elapsed().as_secs_f64() * 1e3;
+    metrics.push(("boot_dense_ms".into(), boot_ms));
+
+    // Steady-state partial-window outages, each at a fresh elapsed bucket
+    // so the expired-mask memo never hits.
+    let sweeps = if quick { 4 } else { 16 };
+    let start = Instant::now();
+    for i in 0..sweeps {
+        m.disable_refresh();
+        m.advance(p.min_ns + (p.max_ns - p.min_ns) / 4 + i);
+        m.enable_refresh();
+    }
+    let decay_rate = sweeps as f64 * capacity as f64 / start.elapsed().as_secs_f64() / 1e6;
+    metrics.push(("partial_decay_mb_per_sec".into(), decay_rate));
 }
 
 /// The persistent campaign service under a saturating multi-tenant queue
@@ -791,7 +754,7 @@ fn main() {
     bench_service(opts.quick, &mut metrics, &mut tel);
     bench_rollback(opts.quick, &mut metrics);
     bench_psc(opts.quick, &mut metrics, &mut tel);
-    bench_flip_engine(opts.quick, &mut metrics);
+    bench_flip_model(opts.quick, &mut metrics);
     bench_datapath(opts.quick, &mut metrics);
 
     metrics.push(("total_wall_s".into(), overall.elapsed().as_secs_f64()));

@@ -28,10 +28,11 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use cta_attack::{
-    CampaignExecutor, CampaignRequest, ExecutorConfig, RecordedAttack, RecordingSpec, ReplayTarget,
-    SprayAttack, TemplatingAttack, TenantLimits,
+    CampaignExecutor, CampaignRequest, ExecutorConfig, RecordedAttack, RecordingSpec, SprayAttack,
+    TemplatingAttack, TenantLimits,
 };
 use cta_bench::{emit_telemetry, header, kv};
+use cta_core::DefenseSpec;
 use cta_telemetry::Counters;
 
 const USAGE: &str = "usage: cta <profile|evaluate|attack> [options]
@@ -136,7 +137,7 @@ fn cmd_profile(opts: &Options) -> ExitCode {
         if opts.protected { "cta" } else { "stock" }
     ));
     let start = Instant::now();
-    let kernel = match spec(opts).builder(opts.seed, ReplayTarget::default()).build() {
+    let kernel = match spec(opts).builder(opts.seed, DefenseSpec::None).build() {
         Ok(k) => k,
         Err(e) => {
             eprintln!("cta profile: boot failed: {e}");

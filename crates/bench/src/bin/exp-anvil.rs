@@ -7,8 +7,7 @@
 //! The detector runs as the hook-native [`cta_dram::AnvilSamplerDefense`]
 //! installed through the `Defense` trait (`DefenseSpec::Anvil`), so the
 //! DRAM module itself consults it on every activation batch — no explicit
-//! polling loop. The legacy polled API ([`cta_ext::AnvilDetector`]) keeps
-//! its own tests in `cta-ext`.
+//! polling loop. It is the workspace's one ANVIL implementation.
 
 use cta_bench::{defended_builder, emit_telemetry, header, kv};
 use cta_core::DefenseSpec;

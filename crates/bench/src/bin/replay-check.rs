@@ -2,17 +2,17 @@
 //!
 //! Loads every `*.recording.json` under the recordings directory
 //! (`fixtures/recordings/` by default, `$CTA_RECORDINGS_DIR` override) and
-//! replays each under both flip engines, asserting byte-identical flip
-//! transcripts, DRAM contents hashes, simulated clocks, attack outcomes,
-//! and telemetry snapshots. Any simulation regression — in the DRAM
-//! model, the flip engines, the row store, the kernel, or the attacks —
-//! fails this gate with the first
-//! diverging observable instead of silently changing every experiment.
+//! replays each through the scoped boot-per-trial path, asserting
+//! byte-identical flip transcripts, DRAM contents hashes, simulated
+//! clocks, attack outcomes, and telemetry snapshots. Any simulation
+//! regression — in the DRAM model, the flip kernels, the row store, the
+//! kernel, or the attacks — fails this gate with the first diverging
+//! observable instead of silently changing every experiment.
 //!
 //! Usage:
 //!
 //! ```text
-//! replay-check                     # replay all fixtures across all targets
+//! replay-check                     # replay all fixtures (scoped path)
 //! replay-check --executor         # replay through the campaign executor too
 //! replay-check --record           # regenerate the fixtures from the specs
 //! replay-check FILE ...           # replay specific recording files
@@ -35,8 +35,9 @@ use std::process::ExitCode;
 
 use cta_attack::{
     record_campaign, replay_recording, CampaignExecutor, ExecutorConfig, RecordedAttack, Recording,
-    RecordingSpec, ReplayTarget, SprayAttack, TemplatingAttack,
+    RecordingSpec, SprayAttack, TemplatingAttack,
 };
+use cta_core::DefenseSpec;
 
 /// The golden campaign set: deliberately tiny machines and narrow attacks
 /// so the full replay grid stays a fast tier-1 gate, while still
@@ -134,42 +135,37 @@ fn replay_fixtures(files: &[PathBuf], executor: bool) -> ExitCode {
                 continue;
             }
         };
-        for target in ReplayTarget::all() {
-            match replay_recording(&recording, target) {
+        match replay_recording(&recording, DefenseSpec::None) {
+            Ok(report) => {
+                println!(
+                    "replay-check: ok   {} {} trials, {} flips",
+                    path.display(),
+                    report.trials,
+                    report.flips_verified
+                );
+            }
+            Err(e) => {
+                eprintln!("replay-check: FAIL {}: {e}", path.display());
+                failures += 1;
+            }
+        }
+        if !executor {
+            continue;
+        }
+        for workers in EXECUTOR_WORKERS {
+            let exec = CampaignExecutor::new(ExecutorConfig { workers, parents_per_worker: 2 });
+            match exec.replay(&recording, DefenseSpec::None) {
                 Ok(report) => {
                     println!(
-                        "replay-check: ok   {} [{target}] {} trials, {} flips",
+                        "replay-check: ok   {} executor w={workers}, {} trials, {} flips",
                         path.display(),
                         report.trials,
                         report.flips_verified
                     );
                 }
                 Err(e) => {
-                    eprintln!("replay-check: FAIL {} [{target}]: {e}", path.display());
+                    eprintln!("replay-check: FAIL {} executor w={workers}: {e}", path.display());
                     failures += 1;
-                }
-            }
-            if !executor {
-                continue;
-            }
-            for workers in EXECUTOR_WORKERS {
-                let exec = CampaignExecutor::new(ExecutorConfig { workers, parents_per_worker: 2 });
-                match exec.replay(&recording, target) {
-                    Ok(report) => {
-                        println!(
-                            "replay-check: ok   {} [{target}] executor w={workers}, {} trials, {} flips",
-                            path.display(),
-                            report.trials,
-                            report.flips_verified
-                        );
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "replay-check: FAIL {} [{target}] executor w={workers}: {e}",
-                            path.display()
-                        );
-                        failures += 1;
-                    }
                 }
             }
         }
@@ -178,8 +174,7 @@ fn replay_fixtures(files: &[PathBuf], executor: bool) -> ExitCode {
         eprintln!("replay-check: {failures} replay failures");
         return ExitCode::FAILURE;
     }
-    let how =
-        if executor { "on all targets, scoped and through the executor" } else { "on all targets" };
+    let how = if executor { "scoped and through the executor" } else { "scoped" };
     println!("replay-check: {} recordings replayed {how}", files.len());
     ExitCode::SUCCESS
 }

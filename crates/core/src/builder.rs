@@ -1,6 +1,6 @@
 //! One-stop construction of simulated machines, protected or not.
 
-use cta_dram::{CellLayout, CellType, DisturbanceParams, DramConfig, FlipEngine, MapGen};
+use cta_dram::{CellLayout, CellType, DisturbanceParams, DramConfig, MapGen};
 use cta_mem::PtpSpec;
 use cta_vm::{Kernel, KernelConfig, VmError};
 
@@ -37,7 +37,6 @@ pub struct SystemBuilder {
     profile_cells: bool,
     screen_ps_bit: bool,
     psc_entries: usize,
-    flip_engine: FlipEngine,
     map_gen: MapGen,
     defense: DefenseSpec,
 }
@@ -62,7 +61,6 @@ impl SystemBuilder {
             profile_cells: false,
             screen_ps_bit: false,
             psc_entries: 16,
-            flip_engine: FlipEngine::default(),
             map_gen: MapGen::default(),
             defense: DefenseSpec::None,
         }
@@ -147,13 +145,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Disturbance/decay inner-loop implementation (performance knob;
-    /// simulated behavior is engine-invariant).
-    pub fn flip_engine(mut self, engine: FlipEngine) -> Self {
-        self.flip_engine = engine;
-        self
-    }
-
     /// Vulnerability-map derivation version (selects which deterministic
     /// maps the seed fixes; see [`MapGen`]).
     pub fn map_gen(mut self, map_gen: MapGen) -> Self {
@@ -186,7 +177,6 @@ impl SystemBuilder {
             retention: RetentionParams::default(),
             refresh_interval_ns: 64_000_000,
             seed: self.seed,
-            flip_engine: self.flip_engine,
             map_gen: self.map_gen,
         };
         let cta = self.protected.then(|| {

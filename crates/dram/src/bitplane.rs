@@ -1,16 +1,19 @@
-//! Word-level access to row bytes for the bitplane flip engine.
+//! Word-level access to row bytes, and the bitplane disturb kernel.
 //!
-//! The engine views a row as a sequence of `u64` words: word `w` covers bit
-//! indices `[64w, 64w + 64)`, and bit `b` of the word is row bit `64w + b`.
+//! The bitplane code views a row as a sequence of `u64` words: word `w`
+//! covers bit indices `[64w, 64w + 64)`, and bit `b` of the word is row
+//! bit `64w + b`.
 //! Because rows are little-endian byte arrays with bit 0 at the LSB of byte
 //! 0, this is exactly `u64::from_le_bytes` over bytes `[8w, 8w + 8)` — the
 //! same layout [`crate::DramModule::read_u64`] exposes to software.
 //!
 //! Rows shorter than 8 bytes (or, in principle, any row whose byte count is
 //! not a multiple of 8) make the last word a *tail word*: it is loaded
-//! zero-padded and stored back truncated, so engine masks must never set
+//! zero-padded and stored back truncated, so masks must never set
 //! padding bits. Mask builders in `vuln.rs`/`retention.rs` only set bits
 //! below the row's bit count, which keeps the padding untouched.
+
+use crate::vuln::{FlipDirection, PlaneWord};
 
 /// Number of `u64` words needed to cover `nbits` bits.
 pub(crate) fn words_for_bits(nbits: usize) -> usize {
@@ -62,16 +65,132 @@ pub(crate) fn ones_mask(nbits: usize) -> Vec<u64> {
     mask
 }
 
+/// Disturbs one row through its compiled bitplanes: every vulnerable cell
+/// whose stored value is its flip's source value (a `1→0` cell holding 1,
+/// a `0→1` cell holding 0) flips, one AND/OR pass per active word.
+/// `flip(bit, direction)` is called once per flipped cell, in ascending
+/// bit order. The per-bit definition is the test-only reference
+/// `fire_bits_reference`, pinned bit-for-bit against this kernel.
+#[inline]
+pub(crate) fn fire_planes(
+    bytes: &mut [u8],
+    planes: &[PlaneWord],
+    mut flip: impl FnMut(u64, FlipDirection),
+) {
+    for pw in planes {
+        let w = pw.word as usize;
+        let word = load_word(bytes, w);
+        let fire_otz = word & pw.otz;
+        let fire_zto = !word & pw.zto;
+        let fired = fire_otz | fire_zto;
+        if fired == 0 {
+            continue;
+        }
+        store_word(bytes, w, (word & !fire_otz) | fire_zto);
+        let base = 64 * w as u64;
+        let mut rest = fired;
+        while rest != 0 {
+            let b = rest.trailing_zeros() as u64;
+            let direction = if fire_otz >> b & 1 == 1 {
+                FlipDirection::OneToZero
+            } else {
+                FlipDirection::ZeroToOne
+            };
+            flip(base + b, direction);
+            rest &= rest - 1;
+        }
+    }
+}
+
+/// Bit `bit` of a row (bit 0 = LSB of byte 0).
+#[cfg(test)]
+pub(crate) fn get_bit(bytes: &[u8], bit: u64) -> bool {
+    bytes[(bit / 8) as usize] >> (bit % 8) & 1 == 1
+}
+
+/// Sets bit `bit` of a row to `value`.
+#[cfg(test)]
+pub(crate) fn set_bit(bytes: &mut [u8], bit: u64, value: bool) {
+    let byte = &mut bytes[(bit / 8) as usize];
+    if value {
+        *byte |= 1 << (bit % 8);
+    } else {
+        *byte &= !(1 << (bit % 8));
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use rand::Rng;
+
     use super::*;
+    use crate::cells::CellLayout;
+    use crate::config::{DisturbanceParams, MapGen};
+    use crate::geometry::{AddressMapping, DramGeometry, RowId};
+    use crate::rng::stream_rng;
+    use crate::vuln::{VulnerabilityModel, VulnerableBit};
+
+    /// Scalar reference of [`fire_planes`]: one bit test per vulnerable
+    /// cell, in the (ascending) order of the row's bit map.
+    fn fire_bits_reference(bytes: &mut [u8], bits: &[VulnerableBit]) -> Vec<(u64, FlipDirection)> {
+        let mut flips = Vec::new();
+        for vb in bits {
+            let current = get_bit(bytes, vb.bit);
+            if current == vb.direction.source_value() {
+                set_bit(bytes, vb.bit, !current);
+                flips.push((vb.bit, vb.direction));
+            }
+        }
+        flips
+    }
+
+    #[test]
+    fn fire_planes_matches_the_scalar_reference_on_random_rows() {
+        // Random seeds, rows and contents over sparse and dense maps of
+        // both derivations and polarities, on full-word (4096/8-byte) and
+        // tail-word (4/1-byte) rows. Each row is disturbed twice, so the
+        // second pass fires on what the first one left.
+        let mut rng = stream_rng(0xF1F1, 0);
+        for row_bytes in [4096u64, 8, 4, 1] {
+            let geometry = DramGeometry::new(row_bytes, 1 << 20, 1, AddressMapping::RowLinear);
+            for pf in [0.05, 0.4] {
+                for map_gen in [MapGen::Stream, MapGen::Counter] {
+                    for layout in [CellLayout::AllTrue, CellLayout::AllAnti] {
+                        let params = DisturbanceParams { pf, ..DisturbanceParams::default() };
+                        let seed = rng.gen();
+                        let mut m = VulnerabilityModel::with_map_gen(
+                            &geometry, layout, params, seed, map_gen,
+                        );
+                        for _ in 0..4 {
+                            let row = RowId(rng.gen_range(0..1 << 20));
+                            let bits = m.vulnerable_bits(row);
+                            let planes = m.planes(row, &bits);
+                            let mut wb: Vec<u8> = (0..row_bytes).map(|_| rng.gen()).collect();
+                            let mut rb = wb.clone();
+                            for pass in 0..2 {
+                                let mut flips = Vec::new();
+                                fire_planes(&mut wb, &planes, |bit, dir| flips.push((bit, dir)));
+                                let reference = fire_bits_reference(&mut rb, &bits);
+                                let ctx = format!(
+                                    "row_bytes={row_bytes} pf={pf} {map_gen:?} {layout:?} \
+                                     seed={seed:#x} {row:?} pass={pass}"
+                                );
+                                assert_eq!(flips, reference, "flip events diverged: {ctx}");
+                                assert_eq!(wb, rb, "row bytes diverged: {ctx}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn word_layout_matches_bit_helpers() {
         // Bit 0 = LSB of byte 0; bit 9 = bit 1 of byte 1 = word bit 9.
         let mut bytes = vec![0u8; 16];
-        crate::retention::set_bit(&mut bytes, 9, true);
-        crate::retention::set_bit(&mut bytes, 64, true);
+        set_bit(&mut bytes, 9, true);
+        set_bit(&mut bytes, 64, true);
         assert_eq!(load_word(&bytes, 0), 1 << 9);
         assert_eq!(load_word(&bytes, 1), 1);
     }

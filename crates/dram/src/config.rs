@@ -80,12 +80,11 @@ impl Default for RetentionParams {
 
 /// Derivation version of the per-row vulnerability maps.
 ///
-/// Unlike [`FlipEngine`], a pure implementation knob, the map generation
-/// version *selects which deterministic universe the module lives in*: the
-/// two derivations produce different (equally valid) vulnerability maps
-/// for the same seed. Within either version, behavior is engine-invariant,
-/// and the wordwise evaluation of [`MapGen::Counter`] is differentially
-/// pinned bit-for-bit against its scalar per-bit reference.
+/// The map generation version is not an implementation knob: it *selects
+/// which deterministic universe the module lives in*. The two derivations
+/// produce different (equally valid) vulnerability maps for the same seed.
+/// The wordwise evaluation of [`MapGen::Counter`] is differentially pinned
+/// bit-for-bit against a scalar per-bit reference kept in test code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MapGen {
     /// v1 (default): per-row ChaCha stream — Poisson-sampled vulnerable-bit
@@ -100,22 +99,6 @@ pub enum MapGen {
     /// `pf` of templating stress experiments and is the derivation the
     /// `datapath` benchmarks record.
     Counter,
-}
-
-/// Implementation selector for the disturbance and decay inner loops.
-///
-/// Both engines simulate *bit-identical* behavior — same row contents, same
-/// flip-log order, same statistics, same simulated time. The scalar engine
-/// is the reference implementation the wordwise engine is differentially
-/// tested against; the wordwise engine compiles each row's vulnerability
-/// map into `u64` bitplane masks and applies them with AND/OR + popcount.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FlipEngine {
-    /// Per-[`crate::VulnerableBit`] scalar loop (reference implementation).
-    Scalar,
-    /// Mask-compiled wordwise bitplane engine.
-    #[default]
-    Wordwise,
 }
 
 /// Full configuration of a simulated DRAM module.
@@ -133,12 +116,8 @@ pub struct DramConfig {
     pub refresh_interval_ns: u64,
     /// Module seed fixing the vulnerability and retention maps.
     pub seed: u64,
-    /// Disturbance/decay inner-loop implementation. Changes performance
-    /// only; both engines simulate bit-identical behavior.
-    pub flip_engine: FlipEngine,
     /// Vulnerability-map derivation version. Changes *which* deterministic
-    /// maps the seed fixes (see [`MapGen`]); within a version, behavior is
-    /// engine-invariant.
+    /// maps the seed fixes (see [`MapGen`]).
     pub map_gen: MapGen,
 }
 
@@ -171,7 +150,6 @@ impl DramConfig {
             retention: RetentionParams::default(),
             refresh_interval_ns: REFRESH_INTERVAL_NS,
             seed,
-            flip_engine: FlipEngine::default(),
             map_gen: MapGen::default(),
         }
     }
@@ -187,7 +165,6 @@ impl DramConfig {
             retention: RetentionParams::default(),
             refresh_interval_ns: REFRESH_INTERVAL_NS,
             seed: 0xC0FFEE,
-            flip_engine: FlipEngine::default(),
             map_gen: MapGen::default(),
         }
     }
@@ -207,12 +184,6 @@ impl DramConfig {
     /// Builder-style override of the disturbance parameters.
     pub fn with_disturbance(mut self, disturbance: DisturbanceParams) -> Self {
         self.disturbance = disturbance;
-        self
-    }
-
-    /// Builder-style override of the flip engine.
-    pub fn with_flip_engine(mut self, engine: FlipEngine) -> Self {
-        self.flip_engine = engine;
         self
     }
 

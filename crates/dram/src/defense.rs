@@ -228,21 +228,25 @@ pub struct AnvilSamplerParams {
 
 impl Default for AnvilSamplerParams {
     fn default() -> Self {
-        // The activation threshold matches cta_ext::AnvilConfig's default;
-        // sampling every 4096 activations guarantees at least one sample
-        // per threshold-sized burst.
+        // An eighth of the default hammer threshold (128 Ki); sampling
+        // every 4096 activations guarantees at least one sample per
+        // threshold-sized burst.
         AnvilSamplerParams { activation_threshold: 16 * 1024, sample_every: 4096 }
     }
 }
 
-/// ANVIL as an inline activation-hook defense: counts global activations
+/// ANVIL (Aweke et al., ASPLOS 2016; the paper's section 5 proposes
+/// coupling it with CTA) as an inline activation-hook defense: counts
+/// global activations
 /// and, at every sampling point, inspects the current row's within-window
 /// count; past the threshold it refreshes the row's neighbors (losing the
 /// accumulated hammer progress).
 ///
-/// This is the hook-native port of the explicit polling API
-/// `cta_ext::AnvilDetector` — same thresholds, same mitigation, but no
-/// caller-driven `sample_and_mitigate` loop.
+/// Like ANVIL, it watches per-row activation counts within the current
+/// refresh window (the simulator's stand-in for LLC-miss performance
+/// counters) and reacts by refreshing the suspected aggressor's victims;
+/// the DRAM module consults it on every activation batch, so no caller
+/// drives a polling loop.
 ///
 /// **Burst splitting.** A verdict never permits activations *past* the
 /// next sampling point: a batch that crosses one is cut there

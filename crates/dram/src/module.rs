@@ -2,16 +2,16 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use crate::bitplane::{load_word, store_word};
+use crate::bitplane::fire_planes;
 use crate::cells::{CellLayout, CellType, CellTypeMap};
-use crate::config::{DramConfig, FlipEngine};
+use crate::config::DramConfig;
 use crate::defense::{ActivationCtx, DefenseSnapshot, DefenseStats, RowDefense, Verdict};
 use crate::digest::row_digest;
 use crate::error::DramError;
 use crate::geometry::{DramGeometry, RowId};
 use crate::journal::{DramJournal, UndoVec};
 use crate::remap::RemapTable;
-use crate::retention::{get_bit, set_bit, RetentionModel};
+use crate::retention::RetentionModel;
 use crate::stats::{DramStats, FlipEvent, FlipLog};
 use crate::store::{contents, RowStore};
 use crate::vuln::{VulnerabilityModel, VulnerableBit};
@@ -172,13 +172,12 @@ impl std::fmt::Debug for DramModule {
 impl DramModule {
     /// Creates a module from its configuration. All cells start at logic `0`.
     pub fn new(config: DramConfig) -> Self {
-        let vuln = VulnerabilityModel::with_modes(
+        let vuln = VulnerabilityModel::with_map_gen(
             &config.geometry,
             config.layout,
             config.disturbance,
             config.seed,
             config.map_gen,
-            config.flip_engine,
         );
         let retention =
             RetentionModel::new(config.retention, config.geometry.bits_per_row(), config.seed);
@@ -381,11 +380,6 @@ impl DramModule {
         &self.meta.stats
     }
 
-    /// The disturbance/decay engine this module runs on.
-    pub fn flip_engine(&self) -> FlipEngine {
-        self.config.flip_engine
-    }
-
     /// Rebounds the per-row model caches (vulnerability maps, compiled
     /// bitplanes, long-retention cells, expired-cell masks) to `rows`
     /// entries each. Purely a memory/performance knob: evicted rows are
@@ -420,10 +414,10 @@ impl DramModule {
     }
 
     /// Payload bytes currently retained across all per-row model caches,
-    /// engine-local acceleration structures (compiled planes, expired
-    /// masks, the sorted retention index) included. The telemetry gauges
-    /// `vuln_cache_bytes`/`retention_cache_bytes` report only the
-    /// engine-invariant subset (bit maps and long-cell lists).
+    /// acceleration structures (compiled planes, expired masks, the sorted
+    /// retention index) included. The telemetry gauges
+    /// `vuln_cache_bytes`/`retention_cache_bytes` report only the model
+    /// content (bit maps and long-cell lists).
     pub fn model_cache_bytes(&self) -> usize {
         self.meta.vuln.cache_bytes() + self.meta.retention.cache_bytes()
     }
@@ -846,22 +840,6 @@ impl DramModule {
         }
     }
 
-    /// The `n` most-activated rows of the current refresh window, hottest
-    /// first.
-    pub fn hottest_rows(&self, n: usize) -> Vec<(RowId, u64)> {
-        let key = self.current_window_key();
-        let mut rows: Vec<(RowId, u64)> = self
-            .activations
-            .iter()
-            .enumerate()
-            .filter(|(_, (gen, win, _))| (*gen, *win) == key)
-            .map(|(row, (_, _, count))| (RowId(row as u64), *count))
-            .collect();
-        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        rows.truncate(n);
-        rows
-    }
-
     /// Targeted mitigation: refresh the neighbors of a suspected aggressor
     /// (what ANVIL does on detection) and restart its activation window, so
     /// accumulated hammer progress is lost.
@@ -1157,10 +1135,9 @@ impl DramModule {
             return;
         }
         let cell_type = self.config.layout.cell_type(backing);
-        let engine = self.config.flip_engine;
         let mut row = self.store.materialize(backing.0, now);
         let changed = Rc::make_mut(&mut self.meta.retention)
-            .apply_decay(backing, cell_type, row.bytes, elapsed, engine);
+            .apply_decay(backing, cell_type, row.bytes, elapsed);
         row.set_last_charge_ns(now);
         self.meta.stats.decay_flips += changed;
         self.sync_model_stats();
@@ -1180,11 +1157,9 @@ impl DramModule {
         Ok(())
     }
 
-    /// Applies the disturbance flip model to one victim row.
-    ///
-    /// Both engines are observably identical — same row bytes, same flip
-    /// events in the same (ascending-bit) order, same statistics — which
-    /// `tests/flip_engine_differential.rs` proves over whole campaigns.
+    /// Applies the disturbance flip model to one victim row: every
+    /// vulnerable cell holding its flip's source value flips, logged in
+    /// ascending bit order ([`fire_planes`]).
     fn disturb(&mut self, victim: RowId) {
         self.journal_capture(victim);
         let bits = Rc::make_mut(&mut self.meta.vuln).vulnerable_bits(victim);
@@ -1198,71 +1173,17 @@ impl DramModule {
             self.apply_decay_to(victim, self.meta.clock_ns);
         }
         let clock = self.meta.clock_ns;
-        match self.config.flip_engine {
-            FlipEngine::Scalar => {
-                let row = self.store.materialize(victim.0, clock);
-                let mut events = Vec::new();
-                for vb in bits.iter() {
-                    let current = get_bit(row.bytes, vb.bit);
-                    if current == vb.direction.source_value() {
-                        set_bit(row.bytes, vb.bit, !current);
-                        events.push(FlipEvent {
-                            row: victim,
-                            bit: vb.bit,
-                            direction: vb.direction,
-                            time_ns: clock,
-                        });
-                    }
-                }
-                for e in events {
-                    self.meta.stats.record_flip(e);
-                }
-            }
-            FlipEngine::Wordwise => {
-                let planes = Rc::make_mut(&mut self.meta.vuln).planes(victim, &bits);
-                let row = self.store.materialize(victim.0, clock);
-                for pw in planes.iter() {
-                    let w = pw.word as usize;
-                    let word = load_word(row.bytes, w);
-                    // A `1→0`-vulnerable cell fires where the word holds a 1;
-                    // a `0→1` cell where it holds a 0. One AND/OR pass flips
-                    // every firing cell of the word at once.
-                    let fire_otz = word & pw.otz;
-                    let fire_zto = !word & pw.zto;
-                    let fired = fire_otz | fire_zto;
-                    if fired == 0 {
-                        continue;
-                    }
-                    store_word(row.bytes, w, (word & !fire_otz) | fire_zto);
-                    self.meta.stats.flips_one_to_zero += u64::from(fire_otz.count_ones());
-                    self.meta.stats.flips_zero_to_one += u64::from(fire_zto.count_ones());
-                    // Per-bit events in ascending bit order, exactly as the
-                    // scalar loop logs them (vulnerable bits are sorted).
-                    let base = 64 * w as u64;
-                    let mut rest = fired;
-                    while rest != 0 {
-                        let b = rest.trailing_zeros() as u64;
-                        let direction = if fire_otz >> b & 1 == 1 {
-                            crate::FlipDirection::OneToZero
-                        } else {
-                            crate::FlipDirection::ZeroToOne
-                        };
-                        self.meta.stats.flip_log.push(FlipEvent {
-                            row: victim,
-                            bit: base + b,
-                            direction,
-                            time_ns: clock,
-                        });
-                        rest &= rest - 1;
-                    }
-                }
-            }
-        }
+        let planes = Rc::make_mut(&mut self.meta.vuln).planes(victim, &bits);
+        let row = self.store.materialize(victim.0, clock);
+        let stats = &mut self.meta.stats;
+        fire_planes(row.bytes, &planes, |bit, direction| {
+            stats.record_flip(FlipEvent { row: victim, bit, direction, time_ns: clock });
+        });
         self.meta.stats.disturbances += 1;
         self.sync_model_stats();
     }
 
-    /// Mirrors the model-cache eviction counters and engine-invariant byte
+    /// Mirrors the model-cache eviction counters and model-content byte
     /// gauges into the stats snapshot.
     fn sync_model_stats(&mut self) {
         self.meta.stats.vuln_cache_evictions = self.meta.vuln.evictions();

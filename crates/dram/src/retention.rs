@@ -6,9 +6,9 @@ use rand::Rng;
 use crate::bitplane::{load_word, ones_mask, store_word, words_for_bits};
 use crate::bounded::BoundedCache;
 use crate::cells::CellType;
-use crate::config::{FlipEngine, RetentionParams};
+use crate::config::RetentionParams;
 use crate::geometry::RowId;
-use crate::rng::{hash3, mantissa_cutoff, poisson, stream_rng, to_unit, RowBlocks};
+use crate::rng::{mantissa_cutoff, poisson, stream_rng, to_unit, RowBlocks};
 use crate::vuln::MODEL_CACHE_ROWS;
 
 /// Seed salt of the ordinary retention draw ("ORDI").
@@ -96,10 +96,9 @@ impl RetentionModel {
     }
 
     /// Total cache evictions (long cells + expired masks) since creation.
-    /// Retention-index evictions are excluded: the index is an engine-local
-    /// acceleration structure whose byte budget can evict on one engine and
-    /// not the other, and the mirrored stats counter must stay
-    /// engine-invariant (the differential suites assert it byte for byte).
+    /// Retention-index evictions are excluded: the index is an acceleration
+    /// structure, not model content, and its byte budget must not show in
+    /// the mirrored stats counter (the pinned recordings carry it).
     pub(crate) fn evictions(&self) -> u64 {
         self.long_cache.evictions() + self.expired.evictions()
     }
@@ -109,14 +108,14 @@ impl RetentionModel {
         self.long_cache.len().max(self.expired.len()).max(self.index.len())
     }
 
-    /// Payload bytes retained across all retention caches, engine-local
-    /// acceleration structures included.
+    /// Payload bytes retained across all retention caches, acceleration
+    /// structures included.
     pub(crate) fn cache_bytes(&self) -> usize {
         self.long_cache.bytes() + self.expired.bytes() + self.index.bytes()
     }
 
-    /// Payload bytes of the long-cell cache alone — the engine-invariant
-    /// model content mirrored into the `retention_cache_bytes` gauge.
+    /// Payload bytes of the long-cell cache alone — the model content
+    /// mirrored into the `retention_cache_bytes` gauge.
     pub(crate) fn long_bytes(&self) -> usize {
         self.long_cache.bytes()
     }
@@ -165,92 +164,23 @@ impl RetentionModel {
         cells
     }
 
-    /// Retention time of an ordinary (non-long) cell.
-    fn ordinary_retention_ns(&self, row: RowId, bit: u64) -> u64 {
-        let u = to_unit(hash3(self.seed ^ ORDI_SALT, row.0, bit));
-        self.params.min_ns + (u * (self.params.max_ns - self.params.min_ns) as f64) as u64
-    }
-
-    /// Retention time of any cell (long cells shadow ordinary draws).
-    pub(crate) fn retention_ns(&mut self, row: RowId, bit: u64) -> u64 {
-        if let Ok(i) = self.long_cells(row).binary_search_by_key(&bit, |c| c.bit) {
-            return self.long_cells(row)[i].retention_ns;
-        }
-        self.ordinary_retention_ns(row, bit)
-    }
-
     /// Applies `elapsed_ns` of unrefreshed decay to a row's stored bytes.
     ///
     /// Cells whose retention has expired read as the discharged value of the
     /// row's polarity. Returns the number of bits whose logic value changed.
-    /// Both engines produce byte-identical results; the scalar path is the
-    /// reference the wordwise path is differentially tested against.
+    /// Works a `u64` word at a time through expired-cell masks; the per-bit
+    /// definition is the test-only reference `apply_decay_reference`, pinned
+    /// bit-for-bit against this path.
     pub(crate) fn apply_decay(
         &mut self,
         row: RowId,
         cell_type: CellType,
         bytes: &mut [u8],
         elapsed_ns: u64,
-        engine: FlipEngine,
     ) -> u64 {
         if elapsed_ns < self.params.min_ns {
             return 0;
         }
-        match engine {
-            FlipEngine::Scalar => self.apply_decay_scalar(row, cell_type, bytes, elapsed_ns),
-            FlipEngine::Wordwise => self.apply_decay_wordwise(row, cell_type, bytes, elapsed_ns),
-        }
-    }
-
-    fn apply_decay_scalar(
-        &mut self,
-        row: RowId,
-        cell_type: CellType,
-        bytes: &mut [u8],
-        elapsed_ns: u64,
-    ) -> u64 {
-        let discharged = cell_type.discharged_value();
-        let mut changed = 0u64;
-        if elapsed_ns >= self.params.max_ns {
-            // Fast path: every ordinary cell has decayed. Snapshot surviving
-            // long cells, blanket-fill, then restore the survivors.
-            let long = self.long_cells(row);
-            let survivors: Vec<(u64, bool)> = long
-                .iter()
-                .filter(|c| c.retention_ns > elapsed_ns)
-                .map(|c| (c.bit, get_bit(bytes, c.bit)))
-                .collect();
-            for byte in bytes.iter_mut() {
-                let before = *byte;
-                *byte = if discharged { 0xFF } else { 0x00 };
-                changed += (before ^ *byte).count_ones() as u64;
-            }
-            for (bit, value) in survivors {
-                if get_bit(bytes, bit) != value {
-                    set_bit(bytes, bit, value);
-                    changed -= 1; // it had been counted as changed by the fill
-                }
-            }
-            changed
-        } else {
-            // Partial window: check each bit's retention individually.
-            for bit in 0..(bytes.len() as u64 * crate::BITS_PER_BYTE as u64) {
-                if self.retention_ns(row, bit) < elapsed_ns && get_bit(bytes, bit) != discharged {
-                    set_bit(bytes, bit, discharged);
-                    changed += 1;
-                }
-            }
-            changed
-        }
-    }
-
-    fn apply_decay_wordwise(
-        &mut self,
-        row: RowId,
-        cell_type: CellType,
-        bytes: &mut [u8],
-        elapsed_ns: u64,
-    ) -> u64 {
         let target = if cell_type.discharged_value() { !0u64 } else { 0u64 };
         let nbits = bytes.len() * crate::BITS_PER_BYTE;
         if elapsed_ns >= self.params.max_ns {
@@ -277,8 +207,9 @@ impl RetentionModel {
     /// are exactly the prefix of keys whose retention component is below
     /// `elapsed_ns`, found with one `partition_point`. Rows too large (or
     /// retentions too long) for the packed key encoding fall back to a
-    /// direct block-hash scan; both paths reproduce the scalar per-bit
-    /// predicate `ordinary_retention_ns(row, bit) < elapsed_ns` exactly.
+    /// direct block-hash scan; both paths reproduce the per-bit predicate
+    /// `min_ns + (to_unit(hash3(seed ^ ORDI, row, bit)) · span) as u64 <
+    /// elapsed_ns` exactly.
     fn expired_mask(&mut self, row: RowId, elapsed_ns: u64, nbits: usize) -> Rc<[u64]> {
         let key = (row.0, elapsed_ns, nbits as u64);
         if let Some(mask) = self.expired.get(&key) {
@@ -309,7 +240,7 @@ impl RetentionModel {
             }
             _ => {
                 // First build for this row (or keys that cannot pack): one
-                // counter-mode scan, a third of the scalar mixing cost. The
+                // counter-mode scan, a third of the per-bit `hash3` cost. The
                 // expiry predicate `min_ns + (to_unit(h) · span) as u64 <
                 // elapsed` is monotone in the hash mantissa, so one binary
                 // search with the genuine float predicate turns the per-bit
@@ -351,9 +282,9 @@ impl RetentionModel {
     /// Builds (and caches) the sorted retention index of `row` over its
     /// first `nbits` cells: one `retention_ns << 21 | bit` key per ordinary
     /// cell, ascending. The per-cell hashes come from the counter-mode
-    /// block generator, which is hash-for-hash equal to the scalar
-    /// [`hash3`] draw, so `partition_point` over the keys reproduces the
-    /// scalar per-bit expiry predicate exactly.
+    /// block generator, which is hash-for-hash equal to the per-bit
+    /// `hash3` draw, so `partition_point` over the keys reproduces the
+    /// per-bit expiry predicate exactly.
     fn build_index(&mut self, row: RowId, nbits: usize) -> Rc<[u64]> {
         let key = (row.0, nbits as u64);
         let blocks = RowBlocks::new(self.seed ^ ORDI_SALT, row.0);
@@ -391,35 +322,103 @@ fn discharge_masked(bytes: &mut [u8], mask: &[u64], target: u64) -> u64 {
     changed
 }
 
-pub(crate) fn get_bit(bytes: &[u8], bit: u64) -> bool {
-    bytes[(bit / 8) as usize] >> (bit % 8) & 1 == 1
-}
-
-pub(crate) fn set_bit(bytes: &mut [u8], bit: u64, value: bool) {
-    let byte = &mut bytes[(bit / 8) as usize];
-    if value {
-        *byte |= 1 << (bit % 8);
-    } else {
-        *byte &= !(1 << (bit % 8));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitplane::{get_bit, set_bit};
+    use crate::rng::hash3;
 
     fn model() -> RetentionModel {
         RetentionModel::new(RetentionParams::default(), 4096 * 8, 0xFEED)
     }
 
-    #[test]
-    fn bit_helpers() {
-        let mut b = vec![0u8; 2];
-        set_bit(&mut b, 9, true);
-        assert_eq!(b, vec![0, 2]);
-        assert!(get_bit(&b, 9));
-        set_bit(&mut b, 9, false);
-        assert!(!get_bit(&b, 9));
+    impl RetentionModel {
+        /// Retention time of an ordinary (non-long) cell.
+        fn ordinary_retention_ns(&self, row: RowId, bit: u64) -> u64 {
+            let u = to_unit(hash3(self.seed ^ ORDI_SALT, row.0, bit));
+            self.params.min_ns + (u * (self.params.max_ns - self.params.min_ns) as f64) as u64
+        }
+
+        /// Retention time of any cell (long cells shadow ordinary draws).
+        fn retention_ns(&mut self, row: RowId, bit: u64) -> u64 {
+            if let Ok(i) = self.long_cells(row).binary_search_by_key(&bit, |c| c.bit) {
+                return self.long_cells(row)[i].retention_ns;
+            }
+            self.ordinary_retention_ns(row, bit)
+        }
+    }
+
+    /// Scalar reference of [`RetentionModel::apply_decay`]: the decay
+    /// definition one cell at a time. The wordwise masks must reproduce it
+    /// bit for bit, changed count included.
+    fn apply_decay_reference(
+        m: &mut RetentionModel,
+        row: RowId,
+        cell_type: CellType,
+        bytes: &mut [u8],
+        elapsed_ns: u64,
+    ) -> u64 {
+        if elapsed_ns < m.params.min_ns {
+            return 0;
+        }
+        let discharged = cell_type.discharged_value();
+        let mut changed = 0u64;
+        if elapsed_ns >= m.params.max_ns {
+            // Every ordinary cell has decayed. Snapshot surviving long
+            // cells, blanket-fill, then restore the survivors.
+            let survivors: Vec<(u64, bool)> = m
+                .long_cells(row)
+                .iter()
+                .filter(|c| c.retention_ns > elapsed_ns)
+                .map(|c| (c.bit, get_bit(bytes, c.bit)))
+                .collect();
+            for byte in bytes.iter_mut() {
+                let before = *byte;
+                *byte = if discharged { 0xFF } else { 0x00 };
+                changed += (before ^ *byte).count_ones() as u64;
+            }
+            for (bit, value) in survivors {
+                if get_bit(bytes, bit) != value {
+                    set_bit(bytes, bit, value);
+                    changed -= 1; // it had been counted as changed by the fill
+                }
+            }
+        } else {
+            // Partial window: check each bit's retention individually.
+            for bit in 0..(bytes.len() as u64 * crate::BITS_PER_BYTE as u64) {
+                if m.retention_ns(row, bit) < elapsed_ns && get_bit(bytes, bit) != discharged {
+                    set_bit(bytes, bit, discharged);
+                    changed += 1;
+                }
+            }
+        }
+        changed
+    }
+
+    /// Decays random contents of `row` after each of `elapsed` on one
+    /// model and on the scalar reference, asserting identical bytes and
+    /// changed counts. One model sees every window in turn, so partial
+    /// windows walk the direct scan, the index build and index reuse.
+    fn assert_decay_matches_reference(
+        p: RetentionParams,
+        len: usize,
+        seed: u64,
+        row: RowId,
+        cell_type: CellType,
+        elapsed: &[u64],
+        rng: &mut impl Rng,
+    ) {
+        let mut model = RetentionModel::new(p, (len * 8) as u64, seed);
+        let mut reference = RetentionModel::new(p, (len * 8) as u64, seed);
+        for &e in elapsed {
+            let mut wb: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            let mut rb = wb.clone();
+            let cw = model.apply_decay(row, cell_type, &mut wb, e);
+            let cr = apply_decay_reference(&mut reference, row, cell_type, &mut rb, e);
+            let ctx = format!("len={len} seed={seed:#x} {row:?} {cell_type:?} elapsed={e}");
+            assert_eq!(wb, rb, "row bytes diverged: {ctx}");
+            assert_eq!(cw, cr, "changed counts diverged: {ctx}");
+        }
     }
 
     #[test]
@@ -444,8 +443,7 @@ mod tests {
     fn no_decay_before_min_retention() {
         let mut m = model();
         let mut bytes = vec![0xFFu8; 4096];
-        let changed =
-            m.apply_decay(RowId(0), CellType::True, &mut bytes, 1_000_000, FlipEngine::Wordwise);
+        let changed = m.apply_decay(RowId(0), CellType::True, &mut bytes, 1_000_000);
         assert_eq!(changed, 0);
         assert!(bytes.iter().all(|b| *b == 0xFF));
     }
@@ -455,8 +453,7 @@ mod tests {
         let mut m = model();
         let mut bytes = vec![0xFFu8; 4096];
         let elapsed = m.params().max_ns + 1;
-        let changed =
-            m.apply_decay(RowId(0), CellType::True, &mut bytes, elapsed, FlipEngine::Wordwise);
+        let changed = m.apply_decay(RowId(0), CellType::True, &mut bytes, elapsed);
         // All bits decay except surviving long cells.
         let surviving: u64 = bytes.iter().map(|b| b.count_ones() as u64).sum();
         let long = m.long_cells(RowId(0)).len() as u64;
@@ -469,7 +466,7 @@ mod tests {
         let mut m = model();
         let mut bytes = vec![0x00u8; 4096];
         let elapsed = m.params().max_ns + 1;
-        m.apply_decay(RowId(1), CellType::Anti, &mut bytes, elapsed, FlipEngine::Wordwise);
+        m.apply_decay(RowId(1), CellType::Anti, &mut bytes, elapsed);
         let zeros: u64 = bytes.iter().map(|b| b.count_zeros() as u64).sum();
         let long = m.long_cells(RowId(1)).len() as u64;
         assert!(zeros <= long, "zeros={zeros} long={long}");
@@ -481,20 +478,8 @@ mod tests {
         let p = m.params();
         let mut early = vec![0xFFu8; 4096];
         let mut late = vec![0xFFu8; 4096];
-        m.apply_decay(
-            RowId(2),
-            CellType::True,
-            &mut early,
-            p.min_ns + (p.max_ns - p.min_ns) / 4,
-            FlipEngine::Wordwise,
-        );
-        m.apply_decay(
-            RowId(2),
-            CellType::True,
-            &mut late,
-            p.min_ns + (p.max_ns - p.min_ns) / 2,
-            FlipEngine::Wordwise,
-        );
+        m.apply_decay(RowId(2), CellType::True, &mut early, p.min_ns + (p.max_ns - p.min_ns) / 4);
+        m.apply_decay(RowId(2), CellType::True, &mut late, p.min_ns + (p.max_ns - p.min_ns) / 2);
         let ones_early: u32 = early.iter().map(|b| b.count_ones()).sum();
         let ones_late: u32 = late.iter().map(|b| b.count_ones()).sum();
         assert!(ones_late <= ones_early);
@@ -505,79 +490,61 @@ mod tests {
     fn very_long_wait_kills_even_long_cells() {
         let mut m = model();
         let mut bytes = vec![0xFFu8; 4096];
-        m.apply_decay(
-            RowId(0),
-            CellType::True,
-            &mut bytes,
-            m.params().long_max_ns + 1,
-            FlipEngine::Wordwise,
-        );
+        m.apply_decay(RowId(0), CellType::True, &mut bytes, m.params().long_max_ns + 1);
         assert!(bytes.iter().all(|b| *b == 0));
     }
 
     #[test]
-    fn wordwise_decay_matches_scalar_exactly() {
+    fn decay_matches_the_scalar_reference_on_random_rows() {
+        // Random seeds, rows and contents; full-word (4096-byte) and tail-
+        // word (12/4/1-byte) rows; both polarities. Per row: two distinct
+        // partial windows (direct scan, then index build), a third (index
+        // reuse), full decay with every long cell surviving, full decay
+        // with some surviving, and a wait that kills even long cells.
         let p = RetentionParams::default();
-        let elapsed_values = [
-            p.min_ns,
-            p.min_ns + (p.max_ns - p.min_ns) / 3,
-            p.max_ns - 1,
-            p.max_ns,
-            p.max_ns + 1,
-            p.long_min_ns + 5,
-            p.long_max_ns + 1,
-        ];
-        for cell_type in [CellType::True, CellType::Anti] {
-            for (fill, elapsed) in
-                elapsed_values.iter().enumerate().map(|(i, e)| ([0xFF, 0x5A, 0x00][i % 3], *e))
-            {
-                let mut scalar = model();
-                let mut wordwise = model();
-                let mut sb = vec![fill; 4096];
-                let mut wb = sb.clone();
-                let cs =
-                    scalar.apply_decay(RowId(3), cell_type, &mut sb, elapsed, FlipEngine::Scalar);
-                let cw = wordwise.apply_decay(
-                    RowId(3),
-                    cell_type,
-                    &mut wb,
-                    elapsed,
-                    FlipEngine::Wordwise,
-                );
-                assert_eq!(cs, cw, "changed counts diverged at elapsed={elapsed} {cell_type:?}");
-                assert_eq!(sb, wb, "row bytes diverged at elapsed={elapsed} {cell_type:?}");
+        let mut rng = stream_rng(0xDECA, 0);
+        for len in [4096usize, 12, 4, 1] {
+            for cell_type in [CellType::True, CellType::Anti] {
+                for _ in 0..3 {
+                    let partial = p.min_ns..p.max_ns;
+                    let elapsed = [
+                        rng.gen_range(partial.clone()),
+                        rng.gen_range(partial.clone()),
+                        rng.gen_range(partial),
+                        rng.gen_range(p.max_ns..p.long_min_ns),
+                        rng.gen_range(p.long_min_ns..p.long_max_ns),
+                        p.long_max_ns + 1,
+                    ];
+                    let (seed, row) = (rng.gen(), RowId(rng.gen_range(0..1 << 20)));
+                    assert_decay_matches_reference(
+                        p, len, seed, row, cell_type, &elapsed, &mut rng,
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn wordwise_decay_matches_scalar_on_tail_words() {
-        // Rows whose bit counts are not multiples of 64: the engine's last
-        // word is a zero-padded tail word (plus a 96-bit full+tail mix).
-        let p = RetentionParams::default();
-        for len in [1usize, 2, 4, 12] {
-            for elapsed in [p.min_ns + (p.max_ns - p.min_ns) / 2, p.max_ns + 1] {
-                let mut scalar = RetentionModel::new(p, (len * 8) as u64, 0xFEED);
-                let mut wordwise = RetentionModel::new(p, (len * 8) as u64, 0xFEED);
-                let mut sb = vec![0xFFu8; len];
-                let mut wb = sb.clone();
-                let cs = scalar.apply_decay(
-                    RowId(0),
-                    CellType::True,
-                    &mut sb,
-                    elapsed,
-                    FlipEngine::Scalar,
-                );
-                let cw = wordwise.apply_decay(
-                    RowId(0),
-                    CellType::True,
-                    &mut wb,
-                    elapsed,
-                    FlipEngine::Wordwise,
-                );
-                assert_eq!(cs, cw, "len={len} elapsed={elapsed}");
-                assert_eq!(sb, wb, "len={len} elapsed={elapsed}");
-            }
+    fn unpackable_fallback_matches_the_scalar_reference() {
+        // Retentions too long for the 43-bit packed key: partial decay must
+        // take the direct block-hash fallback on every window, build no
+        // index, and still reproduce the scalar reference exactly.
+        let p = RetentionParams {
+            min_ns: 1 << 42,
+            max_ns: 1 << 43, // ≥ 2^43 ⟹ keys cannot pack
+            long_fraction: 1e-3,
+            long_min_ns: 1 << 44,
+            long_max_ns: 1 << 45,
+        };
+        let mut rng = stream_rng(0xFA11, 0);
+        for cell_type in [CellType::True, CellType::Anti] {
+            let elapsed: Vec<u64> = (0..3).map(|_| rng.gen_range(p.min_ns..p.max_ns)).collect();
+            let (seed, row) = (rng.gen(), RowId(rng.gen_range(0..1 << 20)));
+            assert_decay_matches_reference(p, 4096, seed, row, cell_type, &elapsed, &mut rng);
+            let mut m = RetentionModel::new(p, 4096 * 8, seed);
+            m.apply_decay(row, cell_type, &mut [0xA5; 4096], elapsed[0]);
+            m.apply_decay(row, cell_type, &mut [0xA5; 4096], elapsed[1]);
+            assert_eq!(m.index.len(), 0, "unpackable params must not build an index");
         }
     }
 
@@ -588,51 +555,19 @@ mod tests {
         let p = m.params();
         let elapsed = p.min_ns + (p.max_ns - p.min_ns) / 2;
         let mut reference = vec![0xFFu8; 4096];
-        m.apply_decay(RowId(0), CellType::True, &mut reference, elapsed, FlipEngine::Wordwise);
+        m.apply_decay(RowId(0), CellType::True, &mut reference, elapsed);
         // A second sweep of the same (row, elapsed) hits the mask cache and
         // must decay a fresh row identically.
         let mut again = vec![0xFFu8; 4096];
-        m.apply_decay(RowId(0), CellType::True, &mut again, elapsed, FlipEngine::Wordwise);
+        m.apply_decay(RowId(0), CellType::True, &mut again, elapsed);
         assert_eq!(reference, again);
         // Sweeping more rows than the capacity evicts deterministically.
         for r in 1..6 {
             let mut b = vec![0xFFu8; 4096];
-            m.apply_decay(RowId(r), CellType::True, &mut b, elapsed, FlipEngine::Wordwise);
+            m.apply_decay(RowId(r), CellType::True, &mut b, elapsed);
         }
         assert!(m.cached_rows() <= 2);
         assert!(m.evictions() > 0);
-    }
-
-    #[test]
-    fn fallback_scan_matches_scalar_when_index_unpackable() {
-        // Retentions too long for the 43-bit packed key: the wordwise
-        // partial-decay path must take the direct block-hash fallback and
-        // still reproduce the scalar per-bit reference exactly.
-        let p = RetentionParams {
-            min_ns: 1 << 42,
-            max_ns: 1 << 43, // ≥ 2^43 ⟹ keys cannot pack
-            long_fraction: 1e-3,
-            long_min_ns: 1 << 44,
-            long_max_ns: 1 << 45,
-        };
-        for elapsed in [(1u64 << 42) + (1 << 40), (1 << 42) + (1 << 42) / 2] {
-            let mut scalar = RetentionModel::new(p, 4096 * 8, 0xFEED);
-            let mut wordwise = RetentionModel::new(p, 4096 * 8, 0xFEED);
-            let mut sb = vec![0xA5u8; 4096];
-            let mut wb = sb.clone();
-            let cs =
-                scalar.apply_decay(RowId(7), CellType::True, &mut sb, elapsed, FlipEngine::Scalar);
-            let cw = wordwise.apply_decay(
-                RowId(7),
-                CellType::True,
-                &mut wb,
-                elapsed,
-                FlipEngine::Wordwise,
-            );
-            assert_eq!(cs, cw, "elapsed={elapsed}");
-            assert_eq!(sb, wb, "elapsed={elapsed}");
-            assert_eq!(wordwise.index.len(), 0, "unpackable params must not build an index");
-        }
     }
 
     #[test]
@@ -651,20 +586,8 @@ mod tests {
             for elapsed in buckets {
                 let mut cb = vec![0xFFu8; 4096];
                 let mut ub = cb.clone();
-                capped.apply_decay(
-                    RowId(r),
-                    CellType::True,
-                    &mut cb,
-                    elapsed,
-                    FlipEngine::Wordwise,
-                );
-                uncapped.apply_decay(
-                    RowId(r),
-                    CellType::True,
-                    &mut ub,
-                    elapsed,
-                    FlipEngine::Wordwise,
-                );
+                capped.apply_decay(RowId(r), CellType::True, &mut cb, elapsed);
+                uncapped.apply_decay(RowId(r), CellType::True, &mut ub, elapsed);
                 assert_eq!(cb, ub, "row {r}");
             }
         }
@@ -673,7 +596,7 @@ mod tests {
         assert!(capped.index.len() <= 1, "capped index len {}", capped.index.len());
         assert_eq!(uncapped.index.len(), 4);
         assert!(capped.cache_bytes() < uncapped.cache_bytes());
-        // Index evictions stay out of the engine-invariant counter.
+        // Index evictions stay out of the mirrored stats counter.
         assert_eq!(capped.evictions(), uncapped.evictions());
     }
 

@@ -18,7 +18,9 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hashes a tuple of coordinates into a u64.
+/// Hashes a tuple of coordinates into a u64: the per-cell hash the
+/// test-only scalar references use, which [`RowBlocks`] reproduces.
+#[cfg(test)]
 pub(crate) fn hash3(seed: u64, a: u64, b: u64) -> u64 {
     splitmix64(splitmix64(splitmix64(seed) ^ a) ^ b)
 }
@@ -40,12 +42,12 @@ pub(crate) fn to_unit(x: u64) -> f64 {
 ///   where prefix = splitmix64(splitmix64(seed) ^ row)
 /// ```
 ///
-/// so the generator derives whole 64-hash blocks — one per engine word of
-/// the row — at a third of the scalar mixing cost, while staying *equal*
-/// to the per-bit [`hash3`] reference hash for hash. The wordwise map and
-/// mask builders in `vuln.rs`/`retention.rs` consume these blocks; the
-/// scalar paths keep calling [`hash3`] directly, which is what the
-/// differential suites pin the block consumers against.
+/// so the generator derives whole 64-hash blocks — one per `u64` word of
+/// the row — at a third of the per-bit mixing cost, while staying *equal*
+/// to the per-bit `hash3` reference hash for hash. The map and mask
+/// builders in `vuln.rs`/`retention.rs` consume these blocks; their
+/// test-only scalar references call `hash3` directly, which is what the
+/// differential tests pin the block consumers against.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RowBlocks {
     prefix: u64,

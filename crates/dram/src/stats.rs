@@ -97,13 +97,12 @@ pub struct DramStats {
     /// and expired-cell masks).
     pub retention_cache_evictions: u64,
     /// Payload bytes retained in the vulnerability bit-map cache. Counts
-    /// the maps themselves, not the engine-local compiled planes, so the
-    /// gauge is identical across flip engines (the differential suites
-    /// assert full telemetry identity).
+    /// the maps themselves, not the compiled planes derived from them, so
+    /// the gauge measures model content rather than acceleration state.
     pub vuln_cache_bytes: u64,
     /// Payload bytes retained in the retention model's long-cell cache
-    /// (expired masks and the sorted retention index are engine-local and
-    /// excluded for the same reason).
+    /// (expired masks and the sorted retention index are acceleration
+    /// state and excluded for the same reason).
     pub retention_cache_bytes: u64,
     /// Bounded log of the most recent disturbance flips, in order of
     /// occurrence. Older events beyond the capacity are evicted but counted

@@ -5,9 +5,9 @@ use rand::Rng;
 
 use crate::bounded::BoundedCache;
 use crate::cells::{CellLayout, CellType};
-use crate::config::{DisturbanceParams, FlipEngine, MapGen};
+use crate::config::{DisturbanceParams, MapGen};
 use crate::geometry::{DramGeometry, RowId};
-use crate::rng::{hash3, poisson, stream_rng, to_unit, unit_cutoff, RowBlocks};
+use crate::rng::{poisson, stream_rng, unit_cutoff, RowBlocks};
 
 /// Default capacity (in rows) of the per-row model caches. Generous enough
 /// that every workload in the repo runs eviction-free, small enough that a
@@ -108,7 +108,6 @@ pub struct VulnerabilityModel {
     layout: CellLayout,
     bits_per_row: u64,
     map_gen: MapGen,
-    engine: FlipEngine,
     /// Integer thresholds of the [`MapGen::Counter`] Bernoulli tests,
     /// precomputed once from `params` (see [`unit_cutoff`]).
     pf_cutoff: u64,
@@ -137,20 +136,16 @@ impl VulnerabilityModel {
         params: DisturbanceParams,
         seed: u64,
     ) -> Self {
-        Self::with_modes(geometry, layout, params, seed, MapGen::default(), FlipEngine::default())
+        Self::with_map_gen(geometry, layout, params, seed, MapGen::default())
     }
 
-    /// Creates the model with an explicit map derivation and (for
-    /// [`MapGen::Counter`]) evaluation engine. The engine never changes
-    /// *which* map a `(seed, map_gen)` pair fixes — only how it is built;
-    /// the differential suites pin the two engines byte-identical.
-    pub fn with_modes(
+    /// Creates the model with an explicit map derivation.
+    pub fn with_map_gen(
         geometry: &DramGeometry,
         layout: CellLayout,
         params: DisturbanceParams,
         seed: u64,
         map_gen: MapGen,
-        engine: FlipEngine,
     ) -> Self {
         VulnerabilityModel {
             seed,
@@ -158,7 +153,6 @@ impl VulnerabilityModel {
             layout,
             bits_per_row: geometry.bits_per_row(),
             map_gen,
-            engine,
             pf_cutoff: unit_cutoff(params.pf),
             rev_cutoff: unit_cutoff(params.reverse_rate),
             cache: BoundedCache::new(MODEL_CACHE_ROWS),
@@ -230,14 +224,13 @@ impl VulnerabilityModel {
         self.cache.evictions() + self.planes.evictions()
     }
 
-    /// Payload bytes retained across both per-row caches, the engine-local
-    /// compiled planes included.
+    /// Payload bytes retained across both per-row caches, the compiled
+    /// planes included.
     pub(crate) fn cache_bytes(&self) -> usize {
         self.cache.bytes() + self.planes.bytes()
     }
 
-    /// Payload bytes of the bit-map cache alone — the engine-invariant
-    /// model content mirrored into the `vuln_cache_bytes` gauge.
+    /// Payload bytes of the bit-map cache alone — the model content mirrored into the `vuln_cache_bytes` gauge.
     pub(crate) fn map_bytes(&self) -> usize {
         self.cache.bytes()
     }
@@ -257,10 +250,7 @@ impl VulnerabilityModel {
     fn generate_row(&self, row: RowId) -> Rc<[VulnerableBit]> {
         match self.map_gen {
             MapGen::Stream => self.generate_row_stream(row),
-            MapGen::Counter => match self.engine {
-                FlipEngine::Scalar => self.generate_row_counter_scalar(row),
-                FlipEngine::Wordwise => self.generate_row_counter_wordwise(row),
-            },
+            MapGen::Counter => self.generate_row_counter(row),
         }
     }
 
@@ -287,30 +277,16 @@ impl VulnerabilityModel {
         bits.into()
     }
 
-    /// The v2 ([`MapGen::Counter`]) derivation, scalar reference: one
-    /// `hash3` + genuine-f64 threshold test per cell for vulnerability, a
-    /// second salted hash for direction. The wordwise builder below must be
-    /// byte-identical to this loop.
-    fn generate_row_counter_scalar(&self, row: RowId) -> Rc<[VulnerableBit]> {
-        let primary = FlipDirection::primary_for(self.layout.cell_type(row));
-        let mut bits: Vec<VulnerableBit> = Vec::new();
-        for bit in 0..self.bits_per_row {
-            if to_unit(hash3(self.seed ^ VULN_SALT, row.0, bit)) < self.params.pf {
-                let reverse =
-                    to_unit(hash3(self.seed ^ DIR_SALT, row.0, bit)) < self.params.reverse_rate;
-                let direction = if reverse { primary.opposite() } else { primary };
-                bits.push(VulnerableBit { bit, direction });
-            }
-        }
-        bits.into()
-    }
-
-    /// The v2 derivation, wordwise builder: [`RowBlocks`] Bernoulli words
+    /// The v2 ([`MapGen::Counter`]) derivation: a cell is vulnerable iff
+    /// `to_unit(hash3(seed ^ VULN, row, bit)) < pf`, and flips against its
+    /// leakage direction iff `to_unit(hash3(seed ^ DIRV, row, bit)) <
+    /// reverse_rate`. Evaluated wordwise: [`RowBlocks`] Bernoulli words
     /// against the precomputed integer cutoffs, scanned a word at a time.
     /// Emits bits in ascending order by construction (no sort); the
-    /// direction word is only derived for words with at least one
-    /// vulnerable cell.
-    fn generate_row_counter_wordwise(&self, row: RowId) -> Rc<[VulnerableBit]> {
+    /// direction hash is only derived for vulnerable cells. The per-cell
+    /// float definition is the test-only reference
+    /// `counter_row_reference`, pinned bit-for-bit against this builder.
+    fn generate_row_counter(&self, row: RowId) -> Rc<[VulnerableBit]> {
         let primary = FlipDirection::primary_for(self.layout.cell_type(row));
         let vuln = RowBlocks::new(self.seed ^ VULN_SALT, row.0);
         let dir = RowBlocks::new(self.seed ^ DIR_SALT, row.0);
@@ -345,6 +321,7 @@ impl VulnerabilityModel {
 mod tests {
     use super::*;
     use crate::geometry::AddressMapping;
+    use crate::rng::{hash3, to_unit};
 
     fn model(pf: f64, layout: CellLayout) -> VulnerabilityModel {
         let g = DramGeometry::new(128 * 1024, 64, 1, AddressMapping::RowLinear);
@@ -461,31 +438,57 @@ mod tests {
         assert_eq!(m.evictions(), 2 * 12, "both caches evict in lockstep here");
     }
 
-    fn counter_model(
+    fn counter_model(row_bytes: u64, pf: f64, layout: CellLayout) -> VulnerabilityModel {
+        counter_model_seeded(row_bytes, pf, layout, 0xABCD)
+    }
+
+    fn counter_model_seeded(
         row_bytes: u64,
         pf: f64,
         layout: CellLayout,
-        engine: FlipEngine,
+        seed: u64,
     ) -> VulnerabilityModel {
         let g = DramGeometry::new(row_bytes, 64, 1, AddressMapping::RowLinear);
         let params = DisturbanceParams { pf, ..DisturbanceParams::default() };
-        VulnerabilityModel::with_modes(&g, layout, params, 0xABCD, MapGen::Counter, engine)
+        VulnerabilityModel::with_map_gen(&g, layout, params, seed, MapGen::Counter)
+    }
+
+    /// Scalar reference of the [`MapGen::Counter`] derivation: one `hash3`
+    /// and a genuine-f64 threshold test per cell for vulnerability, a
+    /// second salted hash for direction. `generate_row_counter` must be
+    /// byte-identical to this loop.
+    fn counter_row_reference(m: &VulnerabilityModel, row: RowId) -> Vec<VulnerableBit> {
+        let primary = FlipDirection::primary_for(m.layout.cell_type(row));
+        let mut bits = Vec::new();
+        for bit in 0..m.bits_per_row {
+            if to_unit(hash3(m.seed ^ VULN_SALT, row.0, bit)) < m.params.pf {
+                let reverse = to_unit(hash3(m.seed ^ DIR_SALT, row.0, bit)) < m.params.reverse_rate;
+                let direction = if reverse { primary.opposite() } else { primary };
+                bits.push(VulnerableBit { bit, direction });
+            }
+        }
+        bits
     }
 
     #[test]
-    fn counter_engines_bit_identical_including_tail_words() {
-        // 4096-byte rows exercise full 64-bit words; 4/2/1-byte rows force
-        // ragged tail words of 32/16/8 bits.
+    fn counter_maps_match_the_scalar_reference_on_random_rows() {
+        // Seeded random (seed, row) draws over sparse and dense maps, true
+        // and anti polarity. 4096-byte rows exercise full 64-bit words;
+        // 4/2/1-byte rows force ragged tail words of 32/16/8 bits.
+        let mut rng = stream_rng(0x5EED, 0);
         for row_bytes in [4096u64, 4, 2, 1] {
-            for layout in [CellLayout::AllTrue, CellLayout::AllAnti] {
-                let mut scalar = counter_model(row_bytes, 0.05, layout, FlipEngine::Scalar);
-                let mut wordwise = counter_model(row_bytes, 0.05, layout, FlipEngine::Wordwise);
-                for r in 0..64 {
-                    assert_eq!(
-                        &*scalar.vulnerable_bits(RowId(r)),
-                        &*wordwise.vulnerable_bits(RowId(r)),
-                        "row_bytes={row_bytes} row={r}"
-                    );
+            for pf in [0.05, 0.4] {
+                for layout in [CellLayout::AllTrue, CellLayout::AllAnti] {
+                    let seed = rng.gen::<u64>();
+                    let mut m = counter_model_seeded(row_bytes, pf, layout, seed);
+                    for _ in 0..8 {
+                        let row = RowId(rng.gen_range(0..64));
+                        assert_eq!(
+                            &*m.vulnerable_bits(row),
+                            counter_row_reference(&m, row).as_slice(),
+                            "row_bytes={row_bytes} pf={pf} {layout:?} seed={seed:#x} {row:?}"
+                        );
+                    }
                 }
             }
         }
@@ -493,7 +496,7 @@ mod tests {
 
     #[test]
     fn counter_bits_stay_inside_the_row_and_sorted() {
-        let mut m = counter_model(4, 0.4, CellLayout::AllTrue, FlipEngine::Wordwise);
+        let mut m = counter_model(4, 0.4, CellLayout::AllTrue);
         for r in 0..64 {
             let bits = m.vulnerable_bits(RowId(r));
             for w in bits.windows(2) {
@@ -505,7 +508,7 @@ mod tests {
 
     #[test]
     fn counter_density_tracks_pf_and_direction_tracks_polarity() {
-        let mut m = counter_model(4096, 0.01, CellLayout::AllTrue, FlipEngine::Wordwise);
+        let mut m = counter_model(4096, 0.01, CellLayout::AllTrue);
         let mut primary = 0usize;
         let mut reverse = 0usize;
         for r in 0..64 {
@@ -527,14 +530,7 @@ mod tests {
         let g = DramGeometry::new(4096, 64, 1, AddressMapping::RowLinear);
         let params = DisturbanceParams { pf: 0.01, ..DisturbanceParams::default() };
         let make = |map_gen| {
-            VulnerabilityModel::with_modes(
-                &g,
-                CellLayout::AllTrue,
-                params,
-                0xABCD,
-                map_gen,
-                FlipEngine::Wordwise,
-            )
+            VulnerabilityModel::with_map_gen(&g, CellLayout::AllTrue, params, 0xABCD, map_gen)
         };
         let (mut s1, mut s2) = (make(MapGen::Stream), make(MapGen::Stream));
         let (mut c1, mut c2) = (make(MapGen::Counter), make(MapGen::Counter));

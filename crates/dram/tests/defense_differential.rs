@@ -1,6 +1,6 @@
 //! Differential tests for the software-defense activation hook.
 //!
-//! Two contract points from `cta_dram::defense`:
+//! Contract points from `cta_dram::defense`:
 //!
 //! - **No defense, no change**: a module with a pure-observer defense is
 //!   byte-identical (contents, flip log, clocks, DRAM telemetry) to one
@@ -8,10 +8,12 @@
 //! - **Defense refreshes are ordinary refreshes**: a SoftTRR-issued
 //!   targeted refresh resets hammer progress and lands in the DRAM
 //!   counters exactly like a manual `refresh_neighbors_of` call.
+//! - **Acting defenses act**: BlockHammer and the ANVIL sampler stop
+//!   every flip of a hammer pattern that flips an undefended control.
 
 use cta_dram::{
-    BlockHammerDefense, BlockHammerParams, DramConfig, DramModule, ObserverDefense, RowId,
-    SoftTrrDefense, SoftTrrParams,
+    AnvilSamplerDefense, AnvilSamplerParams, BlockHammerDefense, BlockHammerParams, DramConfig,
+    DramModule, ObserverDefense, RowId, SoftTrrDefense, SoftTrrParams,
 };
 use cta_telemetry::Counters;
 
@@ -211,6 +213,31 @@ fn blockhammer_throttles_blacklisted_rows() {
     undefended.fill(2 * 4096, 4096, 0xFF).unwrap();
     undefended.hammer(RowId(1), threshold).unwrap();
     assert!(undefended.stats().total_flips() > 0);
+}
+
+#[test]
+fn anvil_sampler_preempts_a_bursty_double_sided_hammer() {
+    // Bursts of an eighth of the hammer threshold on both neighbors of a
+    // charged victim: the undefended module flips it, while the sampler
+    // flags the aggressors and refreshes the victim before any flip.
+    let threshold = DramConfig::small_test().disturbance.hammer_threshold;
+    let attack = |defended: bool| {
+        let mut m = DramModule::new(DramConfig::small_test());
+        if defended {
+            m.install_defense(Box::new(AnvilSamplerDefense::new(AnvilSamplerParams::default())));
+        }
+        m.fill(2 * 4096, 4096, 0xFF).unwrap();
+        for _ in 0..32 {
+            m.hammer(RowId(1), threshold / 8).unwrap();
+            m.hammer(RowId(3), threshold / 8).unwrap();
+        }
+        m
+    };
+    assert!(attack(false).stats().total_flips() > 0, "the undefended burst must flip");
+    let defended = attack(true);
+    assert_eq!(defended.stats().total_flips(), 0, "the sampler must preempt every flip");
+    let alarms = defended.defense().map(|d| d.counters()).unwrap_or_default();
+    assert!(alarms.iter().any(|&(k, v)| k == "anvil_alarms" && v > 0), "{alarms:?}");
 }
 
 #[test]

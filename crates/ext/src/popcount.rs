@@ -13,8 +13,8 @@ use cta_dram::{CellType, DramError, DramModule, RowId};
 /// Hamming weight of a byte slice, computed eight bytes per `POPCNT`.
 ///
 /// The check's hot loop — encode once, check often — used to popcount byte
-/// by byte. Loading `u64` words and counting those matches the wordwise
-/// bitplane engine's accounting in `cta-dram` and lets the compiler keep the
+/// by byte. Loading `u64` words and counting those matches the bitplane
+/// disturb kernel's accounting in `cta-dram` and lets the compiler keep the
 /// whole reduction in registers. The ragged tail (len not a multiple of 8)
 /// is folded in bytewise; weights agree with the scalar sum for every
 /// length.

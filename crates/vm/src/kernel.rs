@@ -205,7 +205,6 @@ impl KernelConfig {
             retention: cta_dram::RetentionParams::default(),
             refresh_interval_ns: 64_000_000,
             seed: 0xBEEF,
-            flip_engine: cta_dram::FlipEngine::default(),
             map_gen: cta_dram::MapGen::default(),
         };
         KernelConfig {

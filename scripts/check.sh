@@ -136,10 +136,11 @@ cargo run --release -q -p cta-bench --bin json-check -- --schema
 cargo run --release -q -p cta-bench --bin json-check -- --schema \
     fixtures/recordings/*.recording.json
 
-echo "==> golden recording replay (both flip engines, scoped + executor)"
+echo "==> golden recording replay (scoped + executor)"
 # The checked-in campaign recordings (format v3) must replay
 # byte-identically — flip transcripts, contents digests, clocks, outcomes,
-# telemetry — under both flip engines, both through the scoped serial path and through the campaign executor at 1 and 3 workers
+# telemetry — both through the scoped serial path and through the
+# campaign executor at 1 and 3 workers
 # (scheduling and the executor's journaled in-place trials must be
 # invisible in the bytes). After an *intentional* simulation change or a
 # format bump, regenerate with `replay-check --record` and commit the diff.

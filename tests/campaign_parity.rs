@@ -5,7 +5,7 @@
 //! shared copy-on-write with its parent.
 
 use monotonic_cta::attack::{
-    run_campaign_with_counters, CampaignSummary, SprayAttack, TemplatingAttack,
+    record_campaign, CampaignSummary, RecordedAttack, RecordingSpec, SprayAttack, TemplatingAttack,
 };
 use monotonic_cta::core::SystemBuilder;
 use monotonic_cta::dram::DisturbanceParams;
@@ -21,22 +21,21 @@ fn build(seed: u64, protected: bool) -> Result<Kernel, VmError> {
 }
 
 #[test]
-fn spray_campaigns_agree_across_shards() {
-    let attack = SprayAttack::default();
-    let seeds: Vec<u64> = (0..6).collect();
+fn spray_recordings_agree_across_shards() {
+    // The scoped campaign path on the same 8 MiB, pf = 0.05 machines as
+    // `build`, one trial per seed. The full spray flips ~50k bits a trial,
+    // so the lossless transcript needs a wider flip-log window.
+    let mut spec =
+        RecordingSpec::new(RecordedAttack::Spray(SprayAttack::default()), (0..6).collect());
+    spec.flip_log_capacity = 1 << 17;
     let mut reference: Option<(String, String, CampaignSummary)> = None;
     for threads in [1usize, 4] {
-        let (outcomes, counters) = run_campaign_with_counters(
-            "parity",
-            &seeds,
-            threads,
-            |s| build(s, false),
-            |k| attack.run(k),
-        )
-        .unwrap();
+        spec.threads = threads;
+        let recording = record_campaign(&spec).unwrap();
+        let outcomes: Vec<_> = recording.trials.iter().map(|t| &t.outcome).collect();
         let outcome_repr = format!("{outcomes:?}");
-        let summary = CampaignSummary::from_outcomes(&outcomes);
-        let json = counters.to_json();
+        let summary = CampaignSummary::from_outcomes(outcomes);
+        let json = recording.telemetry.to_compact_string();
         match &reference {
             None => reference = Some((outcome_repr, json, summary)),
             Some((ref_outcomes, ref_json, ref_summary)) => {
