@@ -131,6 +131,12 @@ pub struct RecordingSpec {
     pub flip_log_capacity: usize,
 }
 
+/// Default [`RecordingSpec::flip_log_capacity`]: room for the ~51k flips a
+/// default [`SprayAttack`] lands on the spec's default machine, with
+/// headroom. Only retained flips cost memory: the log allocates eagerly
+/// for at most [`cta_telemetry::DEFAULT_LOG_CAPACITY`] events.
+const SPEC_FLIP_LOG_CAPACITY: usize = 1 << 17;
+
 impl RecordingSpec {
     /// A spec running `attack` on small default machines over `seeds`.
     pub fn new(attack: RecordedAttack, seeds: Vec<u64>) -> Self {
@@ -146,7 +152,7 @@ impl RecordingSpec {
             map_gen: MapGen::default(),
             seeds,
             threads: 1,
-            flip_log_capacity: cta_telemetry::DEFAULT_LOG_CAPACITY,
+            flip_log_capacity: SPEC_FLIP_LOG_CAPACITY,
         }
     }
 

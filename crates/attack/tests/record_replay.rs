@@ -47,6 +47,15 @@ fn templating_recording_replays_identically() {
 }
 
 #[test]
+fn default_spec_records_its_default_attack() {
+    // The default spray flips ~51k bits a trial on the spec's default
+    // machine; the default flip-log window must hold them all.
+    let spec = RecordingSpec::new(RecordedAttack::Spray(SprayAttack::default()), vec![0]);
+    let recording = record_campaign(&spec).unwrap_or_else(|e| panic!("record failed: {e}"));
+    assert!(recording.trials[0].flips.len() > 4096, "the default attack should flip > 4096 bits");
+}
+
+#[test]
 fn zero_capacity_recording_is_rejected_not_silently_empty() {
     // Regression: flip_log_capacity = 0 used to yield an empty flip log
     // that looked like a successful (flip-free) recording.

@@ -54,15 +54,14 @@ pub(crate) fn store_word(bytes: &mut [u8], w: usize, word: u64) {
     bytes[lo..hi].copy_from_slice(&word.to_le_bytes()[..hi - lo]);
 }
 
-/// A mask with the low `nbits` bits set, split into words — the "every cell
-/// of the row" plane the full-decay path starts from.
-pub(crate) fn ones_mask(nbits: usize) -> Vec<u64> {
-    let words = words_for_bits(nbits);
-    let mut mask = vec![!0u64; words];
-    if !nbits.is_multiple_of(64) {
-        mask[words - 1] = (1u64 << (nbits % 64)) - 1;
-    }
-    mask
+/// Number of set bits in `bytes`, counted a `u64` word at a time with a
+/// bytewise tail for rows that are not a multiple of 8 bytes long.
+pub(crate) fn count_ones(bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    let whole: u64 = (&mut words)
+        .map(|w| u64::from(u64::from_le_bytes(w.try_into().expect("8-byte chunk")).count_ones()))
+        .sum();
+    whole + words.remainder().iter().map(|b| u64::from(b.count_ones())).sum::<u64>()
 }
 
 /// Disturbs one row through its compiled bitplanes: every vulnerable cell
@@ -213,12 +212,14 @@ mod tests {
     }
 
     #[test]
-    fn ones_mask_covers_exactly_nbits() {
-        assert_eq!(ones_mask(128), vec![!0u64, !0u64]);
-        assert_eq!(ones_mask(32), vec![0xFFFF_FFFF]);
-        assert_eq!(ones_mask(65), vec![!0u64, 1]);
-        let total: u32 = ones_mask(100).iter().map(|w| w.count_ones()).sum();
-        assert_eq!(total, 100);
+    fn count_ones_counts_whole_words_and_the_tail() {
+        let mut rng = stream_rng(0xC0DE, 0);
+        for len in [0usize, 1, 4, 7, 8, 9, 12, 4096] {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+            let bytewise: u64 = bytes.iter().map(|b| u64::from(b.count_ones())).sum();
+            assert_eq!(count_ones(&bytes), bytewise, "len={len}");
+        }
+        assert_eq!(count_ones(&[0xFF; 12]), 96);
     }
 
     #[test]

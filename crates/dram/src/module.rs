@@ -6,7 +6,7 @@ use crate::bitplane::fire_planes;
 use crate::cells::{CellLayout, CellType, CellTypeMap};
 use crate::config::DramConfig;
 use crate::defense::{ActivationCtx, DefenseSnapshot, DefenseStats, RowDefense, Verdict};
-use crate::digest::row_digest;
+use crate::digest::{row_digest, sum_row_digests};
 use crate::error::DramError;
 use crate::geometry::{DramGeometry, RowId};
 use crate::journal::{DramJournal, UndoVec};
@@ -330,13 +330,14 @@ impl DramModule {
     }
 
     /// [`Self::contents_digest`] from scratch: every backing row `b`
-    /// contributes at logical row `resolve(b)` (a remap is a swap).
+    /// contributes at logical row `resolve(b)` (a remap is a swap), four
+    /// rows' hash chains at a time ([`sum_row_digests`]).
     fn full_digest(&self) -> u64 {
         let zeros = vec![0u8; self.config.geometry.row_bytes() as usize];
-        (0..self.config.geometry.total_rows()).fold(0u64, |sum, backing| {
+        sum_row_digests((0..self.config.geometry.total_rows()).map(|backing| {
             let logical = self.meta.remap.resolve(RowId(backing)).0;
-            sum.wrapping_add(row_digest(logical, self.store.bytes(backing).unwrap_or(&zeros)))
-        })
+            (logical, self.store.bytes(backing).unwrap_or(&zeros))
+        }))
     }
 
     /// Number of rows currently materialized.
@@ -1599,6 +1600,34 @@ mod tests {
         let mut m = module();
         m.journal_begin();
         let _ = m.fork();
+    }
+
+    #[test]
+    fn full_digest_matches_the_per_row_sum() {
+        // 1–9 rows put 0–3 leftover rows after the last four-row batch;
+        // 64-byte rows hash whole words, 4-byte rows only the bytewise
+        // tail. Odd rows stay unmaterialized (they hash as zeros) and the
+        // first and last rows swap storage under a remap.
+        for row_bytes in [64u64, 4] {
+            for rows in 1..=9u64 {
+                let mut cfg = DramConfig::small_test();
+                cfg.geometry = DramGeometry::new(row_bytes, rows, 1, AddressMapping::RowLinear);
+                cfg.layout = CellLayout::AllTrue;
+                let mut m = DramModule::new(cfg);
+                for r in (0..rows).step_by(2) {
+                    m.fill(r * row_bytes + 1, 2, r as u8 + 1).unwrap();
+                }
+                if rows > 1 {
+                    m.remap_row(RowId(0), RowId(rows - 1)).unwrap();
+                }
+                let per_row = (0..rows).fold(0u64, |sum, l| {
+                    let bytes = m.peek(l * row_bytes, row_bytes as usize).unwrap();
+                    sum.wrapping_add(row_digest(l, &bytes))
+                });
+                assert_eq!(m.full_digest(), per_row, "row_bytes={row_bytes} rows={rows}");
+                assert_eq!(m.contents_digest(), per_row, "row_bytes={row_bytes} rows={rows}");
+            }
+        }
     }
 
     #[test]

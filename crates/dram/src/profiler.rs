@@ -12,6 +12,7 @@
 
 use std::ops::Range;
 
+use crate::bitplane::count_ones;
 use crate::cells::{CellType, CellTypeMap};
 use crate::error::DramError;
 use crate::geometry::RowId;
@@ -66,7 +67,10 @@ impl CellTypeProfile {
 ///
 /// Refresh is disabled for the duration of the wait and re-enabled before
 /// returning. Data in the profiled range is destroyed (as in reality), so
-/// profiling is a boot-time, one-shot procedure.
+/// profiling is a boot-time, one-shot procedure. The read-back goes
+/// through [`DramModule::read_into`] like any software read (it pays the
+/// row's pending decay and the access accounting); the vote then counts
+/// the row's ones a `u64` word at a time.
 ///
 /// # Errors
 ///
@@ -94,7 +98,7 @@ pub fn profile_cell_types(
     for row in range.start..range.end {
         let addr = module.geometry().addr_of_row(RowId(row))?;
         module.read_into(addr, &mut data)?;
-        let ones: u64 = data.iter().map(|b| b.count_ones() as u64).sum();
+        let ones = count_ones(&data);
         let bits = (row_bytes * crate::BITS_PER_BYTE) as u64;
         // Charged value was `1`. Decayed true-cells read 0, anti-cells 1.
         let inferred = if ones * 2 < bits { CellType::True } else { CellType::Anti };
@@ -247,6 +251,34 @@ mod tests {
         let profile = profile_cell_types(&mut m, &ProfilerConfig::default()).unwrap();
         // long_fraction=1e-3 over 32768 bits/row ⇒ ≈33 expected dissenters.
         assert!(profile.max_dissent() < 200, "dissent {}", profile.max_dissent());
+    }
+
+    /// Profiles `m` and recomputes every row's vote bytewise from what
+    /// the profiler left in the row (`peek` reads it without side effects).
+    fn assert_vote_matches_bytewise_recount(mut m: DramModule) {
+        let profile = profile_cell_types(&mut m, &ProfilerConfig::default()).unwrap();
+        let row_bytes = m.geometry().row_bytes();
+        let bits = row_bytes * 8;
+        for row in 0..m.geometry().total_rows() {
+            let data = m.peek(row * row_bytes, row_bytes as usize).unwrap();
+            let ones: u64 = data.iter().map(|b| u64::from(b.count_ones())).sum();
+            let (inferred, dissent) = if ones * 2 < bits {
+                (CellType::True, ones)
+            } else {
+                (CellType::Anti, bits - ones)
+            };
+            assert_eq!(profile.map.cell_type(RowId(row)), Some(inferred), "row {row}");
+            assert_eq!(profile.dissenting_bits[row as usize], dissent, "row {row}");
+        }
+    }
+
+    #[test]
+    fn vote_matches_a_bytewise_recount() {
+        assert_vote_matches_bytewise_recount(DramModule::new(DramConfig::small_test()));
+        // 4-byte rows: every row is a sub-word tail.
+        let mut cfg = DramConfig::small_test();
+        cfg.geometry = crate::DramGeometry::new(4, 64, 1, crate::AddressMapping::RowLinear);
+        assert_vote_matches_bytewise_recount(DramModule::new(cfg));
     }
 
     #[test]

@@ -3,7 +3,7 @@ use std::rc::Rc;
 
 use rand::Rng;
 
-use crate::bitplane::{load_word, ones_mask, store_word, words_for_bits};
+use crate::bitplane::{count_ones, load_word, store_word, words_for_bits};
 use crate::bounded::BoundedCache;
 use crate::cells::CellType;
 use crate::config::RetentionParams;
@@ -168,9 +168,10 @@ impl RetentionModel {
     ///
     /// Cells whose retention has expired read as the discharged value of the
     /// row's polarity. Returns the number of bits whose logic value changed.
-    /// Works a `u64` word at a time through expired-cell masks; the per-bit
-    /// definition is the test-only reference `apply_decay_reference`, pinned
-    /// bit-for-bit against this path.
+    /// Full decay fills the row around its surviving long cells; partial
+    /// decay works a `u64` word at a time through expired-cell masks. The
+    /// per-bit definition is the test-only reference `apply_decay_reference`,
+    /// pinned bit-for-bit against both paths.
     pub(crate) fn apply_decay(
         &mut self,
         row: RowId,
@@ -181,22 +182,21 @@ impl RetentionModel {
         if elapsed_ns < self.params.min_ns {
             return 0;
         }
-        let target = if cell_type.discharged_value() { !0u64 } else { 0u64 };
+        let discharged = cell_type.discharged_value();
         let nbits = bytes.len() * crate::BITS_PER_BYTE;
         if elapsed_ns >= self.params.max_ns {
             // Full decay: every ordinary cell expires; only long cells whose
-            // retention outlasts the wait keep their current value. Built on
-            // the fly — it needs no per-cell hashing, only the long list.
-            let mut mask = ones_mask(nbits);
-            for c in self.long_cells(row).iter() {
-                if c.retention_ns > elapsed_ns && (c.bit as usize) < nbits {
-                    mask[(c.bit / 64) as usize] &= !(1u64 << (c.bit % 64));
-                }
-            }
-            discharge_masked(bytes, &mask, target)
+            // retention outlasts the wait keep their current value. It needs
+            // no per-cell hashing and no row mask, only the long list.
+            let long = self.long_cells(row);
+            let survivors = long
+                .iter()
+                .filter(|c| c.retention_ns > elapsed_ns && (c.bit as usize) < nbits)
+                .map(|c| c.bit);
+            discharge_all_but(bytes, survivors, if discharged { 0xFF } else { 0x00 })
         } else {
             let mask = self.expired_mask(row, elapsed_ns, nbits);
-            discharge_masked(bytes, &mask, target)
+            discharge_masked(bytes, &mask, if discharged { !0 } else { 0 })
         }
     }
 
@@ -300,6 +300,35 @@ impl RetentionModel {
         self.index.insert_weighted(key, Rc::clone(&keys), std::mem::size_of_val::<[u64]>(&keys));
         keys
     }
+}
+
+/// Drives every bit of `bytes` to its bit in `target` (`0xFF` or `0x00`)
+/// except the `survivors` (ascending bit indices), which keep their value,
+/// returning how many bits actually changed. This is the reference's own
+/// definition of full decay: count the non-target bits a word at a time,
+/// blanket-fill, and restore each survivor from a snapshot of its byte,
+/// uncounting the survivors that held the non-target value. Allocation-free.
+fn discharge_all_but(bytes: &mut [u8], survivors: impl Iterator<Item = u64>, target: u8) -> u64 {
+    let ones = count_ones(bytes);
+    let mut changed = if target == 0xFF { (bytes.len() * 8) as u64 - ones } else { ones };
+    // Bytes before `filled` hold their decayed value; `snapshot` is the
+    // pre-fill value of byte `filled - 1`, the current survivor's byte.
+    let (mut filled, mut snapshot) = (0usize, 0u8);
+    for bit in survivors {
+        let i = (bit / 8) as usize;
+        debug_assert!(i + 1 >= filled, "survivors must ascend");
+        if i >= filled {
+            bytes[filled..i].fill(target);
+            snapshot = bytes[i];
+            bytes[i] = target;
+            filled = i + 1;
+        }
+        let held = (snapshot ^ target) & (1 << (bit % 8));
+        bytes[i] ^= held;
+        changed -= u64::from(held.count_ones());
+    }
+    bytes[filled..].fill(target);
+    changed
 }
 
 /// Drives every masked bit of `bytes` to its bit in `target` (all-ones or

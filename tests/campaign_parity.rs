@@ -23,11 +23,9 @@ fn build(seed: u64, protected: bool) -> Result<Kernel, VmError> {
 #[test]
 fn spray_recordings_agree_across_shards() {
     // The scoped campaign path on the same 8 MiB, pf = 0.05 machines as
-    // `build`, one trial per seed. The full spray flips ~50k bits a trial,
-    // so the lossless transcript needs a wider flip-log window.
+    // `build`, one trial per seed.
     let mut spec =
         RecordingSpec::new(RecordedAttack::Spray(SprayAttack::default()), (0..6).collect());
-    spec.flip_log_capacity = 1 << 17;
     let mut reference: Option<(String, String, CampaignSummary)> = None;
     for threads in [1usize, 4] {
         spec.threads = threads;
