@@ -142,7 +142,9 @@ echo "==> golden recording replay (scoped + executor)"
 # telemetry — both through the scoped serial path and through the
 # campaign executor at 1 and 3 workers
 # (scheduling and the executor's journaled in-place trials must be
-# invisible in the bytes). After an *intentional* simulation change or a
+# invisible in the bytes). The set includes a CTA-protected machine whose
+# cell types come from the boot-time profiler, so the profiler's decay
+# and the ZONE_PTP placement it drives are pinned too. After an *intentional* simulation change or a
 # format bump, regenerate with `replay-check --record` and commit the diff.
 cargo run --release -q -p cta-bench --bin replay-check -- --executor
 
